@@ -124,9 +124,12 @@ def _parse_record(rec: dict, schema: TaskSchema, line_no: int) -> Episode:
     obs = []
     for j, o in enumerate(rec["ts"]):
         try:
-            f, t, v = int(o["f"]), float(o["t"]), float(o["v"])
-        except (KeyError, TypeError, ValueError):
+            raw_f, t, v = float(o["f"]), float(o["t"]), float(o["v"])
+        except (KeyError, TypeError, ValueError, OverflowError):
             fail("ts", f"entry {j} must carry numeric f/t/v")
+        if not raw_f.is_integer():
+            fail("ts", f"entry {j}: feature index {o['f']!r} is not an integer")
+        f = int(raw_f)
         if not 0 <= f < schema.n_features:
             fail("ts", f"entry {j}: feature index {f} outside [0, {schema.n_features})")
         if not math.isfinite(t) or t < 0:

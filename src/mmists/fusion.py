@@ -2,6 +2,9 @@
 cross-attention against the other stream's fresh self-attention output, and a
 position-wise feed-forward, all pre-layer-norm with residuals.
 
+Every function takes [T x d] streams or [G x T x d] groups of them; key
+masks and classifier rows follow the same leading axes.
+
 The stack itself is residual-pure (zeroing every sublayer's output projection
 makes it the identity); the model applies a final layer norm separately.
 """
@@ -15,10 +18,10 @@ import numpy as np
 from .tensor import (
     Tensor,
     concat,
+    gather_rows,
     layer_norm,
     masked_softmax,
     matmul,
-    narrow,
     relu,
     reshape,
     swapaxes,
@@ -166,22 +169,23 @@ def _multi_head(
     heads: int,
     key_mask: np.ndarray | None,
 ) -> Tensor:
-    """Scaled dot-product attention split over heads; key_mask hides kv rows."""
-    a, d = q_in.shape
-    l = kv_in.shape[0]
+    """Scaled dot-product attention split over heads; key_mask [... x l] hides kv rows."""
+    *lead, a, d = q_in.shape
+    l = kv_in.shape[-2]
     if d % heads != 0:
         raise ValueError(f"head count {heads} must divide width {d}")
     dk = d // heads
-    q = matmul(q_in, p.w_q) + p.b_q
-    k = matmul(kv_in, p.w_k) + p.b_k
-    v = matmul(kv_in, p.w_v) + p.b_v
-    qh = swapaxes(reshape(q, (a, heads, dk)), 0, 1)  # [H x a x dk]
-    kh = swapaxes(reshape(k, (l, heads, dk)), 0, 1)
-    vh = swapaxes(reshape(v, (l, heads, dk)), 0, 1)
-    scores = matmul(qh, swapaxes(kh, 1, 2)) * (dk**-0.5)  # [H x a x l]
-    mask = None if key_mask is None else np.asarray(key_mask, dtype=bool)[None, None, :]
+
+    def split(x: Tensor, rows: int) -> Tensor:  # [... x rows x d] -> [... x H x rows x dk]
+        return swapaxes(reshape(x, (*lead, rows, heads, dk)), -3, -2)
+
+    qh = split(matmul(q_in, p.w_q) + p.b_q, a)
+    kh = split(matmul(kv_in, p.w_k) + p.b_k, l)
+    vh = split(matmul(kv_in, p.w_v) + p.b_v, l)
+    scores = matmul(qh, swapaxes(kh, -2, -1)) * (dk**-0.5)  # [... x H x a x l]
+    mask = None if key_mask is None else np.asarray(key_mask, dtype=bool)[..., None, None, :]
     weights, _ = masked_softmax(scores, mask)
-    merged = reshape(swapaxes(matmul(weights, vh), 0, 1), (a, d))
+    merged = reshape(swapaxes(matmul(weights, vh), -3, -2), (*lead, a, d))
     return matmul(merged, p.w_o) + p.b_o
 
 
@@ -238,25 +242,26 @@ def single_stack(
     return x
 
 
-def _row(x: Tensor, index: int) -> Tensor:
-    return narrow(x, 0, index, 1)  # [1 x d]
-
-
 def classify(
     z_ts: Tensor,
     z_txt: Tensor,
     p: ClassifierParams,
-    ts_row: int,
-    txt_row: int,
+    ts_row,
+    txt_row,
 ) -> Tensor:
-    """Concat the two streams' designated hidden rows -> FC -> logits [n_out]."""
-    joined = concat([_row(z_ts, ts_row), _row(z_txt, txt_row)], axis=1)  # [1 x 2d_h]
-    hidden = relu(matmul(joined, p.w_hidden) + p.b_hidden)
-    logits = matmul(hidden, p.w_out) + p.b_out
-    return reshape(logits, (logits.shape[1],))
+    """Concat the two streams' designated hidden rows -> FC -> logits [... x n_out].
+
+    A row is an int, or one index per stream of a group.
+    """
+    joined = concat([gather_rows(z_ts, ts_row), gather_rows(z_txt, txt_row)], axis=-1)
+    return _head(joined, p, z_ts.shape[:-2])
 
 
-def classify_single(z: Tensor, p: ClassifierParams, row: int) -> Tensor:
-    hidden = relu(matmul(_row(z, row), p.w_hidden) + p.b_hidden)
+def classify_single(z: Tensor, p: ClassifierParams, row) -> Tensor:
+    return _head(gather_rows(z, row), p, z.shape[:-2])
+
+
+def _head(x: Tensor, p: ClassifierParams, lead: tuple[int, ...]) -> Tensor:
+    hidden = relu(matmul(x, p.w_hidden) + p.b_hidden)  # x: [... x 1 x d_in]
     logits = matmul(hidden, p.w_out) + p.b_out
-    return reshape(logits, (logits.shape[1],))
+    return reshape(logits, lead + logits.shape[-1:])

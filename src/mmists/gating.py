@@ -41,14 +41,15 @@ def init_gate_params(rng: np.random.Generator, level: str, d_h: int) -> GatePara
 
 
 def compute_gate(e_imp: Tensor, e_attn: Tensor, params: GateParams) -> Tensor:
-    """Gate in (0,1): [1x1] (patient), [alpha x 1] (temporal), or [alpha x d_h] (hidden)."""
+    """Gate in (0,1) per episode: [... x 1 x 1] (patient), [... x alpha x 1]
+    (temporal), or [... x alpha x d_h] (hidden), for [... x alpha x d_h] branches."""
     if e_imp.shape != e_attn.shape:
         raise ValueError(f"branch shapes disagree: {e_imp.shape} vs {e_attn.shape}")
-    joint = concat([e_imp, e_attn], axis=1)  # [alpha x 2d_h]
+    joint = concat([e_imp, e_attn], axis=-1)  # [... x alpha x 2d_h]
     if params.level == "patient":
-        x = reduce_mean(joint, axis=(0, 1), keepdims=True)  # [1 x 1]
+        x = reduce_mean(joint, axis=(-2, -1), keepdims=True)  # [... x 1 x 1]
     elif params.level == "temporal":
-        x = reduce_mean(joint, axis=1, keepdims=True)  # [alpha x 1]
+        x = reduce_mean(joint, axis=-1, keepdims=True)  # [... x alpha x 1]
     elif params.level == "hidden":
         x = joint
     else:

@@ -1,8 +1,10 @@
 """Training loop, checkpoint selection, evaluation, prediction, aggregation.
 
 Determinism contract: (config, seed, data) fully determine every emitted
-number. Shuffle order comes from a generator seeded by the run seed, episodes
-are processed one tape at a time with gradients averaged per batch, and the
+number. Shuffle order comes from a generator seeded by the run seed; each
+mini-batch is processed in groups of GROUP_SIZE episodes in batch order, one
+tape per group with its loss weighted by its share of the batch, so the
+summed gradients are the batch mean; scoring runs in the same groups. The
 best validation snapshot is kept with earliest-epoch tie-breaking.
 """
 
@@ -22,7 +24,9 @@ from .metrics import EvalReport, evaluate_scores, f1_binary, macro_f1
 from .model import (
     ConfigError,
     ModelParams,
+    PreparedEpisode,
     RunConfig,
+    collate,
     forward,
     init_model,
     prepare_episode,
@@ -47,6 +51,12 @@ __all__ = [
 ]
 
 _SHUFFLE_TAG = 3001  # keeps the shuffle stream disjoint from init/generator streams
+
+# Episodes per tape, in training and scoring. It is set by peak memory: a
+# tape holds about 3.5 MB of activations per episode at the default
+# architecture. At 4, a training run's peak RSS stays below that of one tape
+# per episode; 8 already exceeds it, for about 10% more speed.
+GROUP_SIZE = 4
 
 
 class NumericalError(RuntimeError):
@@ -117,22 +127,22 @@ def load_checkpoint(path) -> Checkpoint:
                 for key in bundle.files
                 if key.startswith("param/")
             }
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as e:
+        stats = NormalizationStats(
+            feature_min=np.asarray(meta["stats"]["min"], dtype=np.float64),
+            feature_max=np.asarray(meta["stats"]["max"], dtype=np.float64),
+            global_mean=np.asarray(meta["stats"]["global_mean"], dtype=np.float64),
+            alpha_hours=float(meta["stats"]["alpha_hours"]),
+        )
+        return Checkpoint(
+            arrays=arrays,
+            config=RunConfig(**meta["config"]).validate(),
+            stats=stats,
+            epoch=int(meta["epoch"]),
+            metric_name=str(meta["metric_name"]),
+            metric_value=float(meta["metric_value"]),
+        )
+    except (OSError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"unreadable checkpoint {path}: {e}") from e
-    stats = NormalizationStats(
-        feature_min=np.asarray(meta["stats"]["min"], dtype=np.float64),
-        feature_max=np.asarray(meta["stats"]["max"], dtype=np.float64),
-        global_mean=np.asarray(meta["stats"]["global_mean"], dtype=np.float64),
-        alpha_hours=float(meta["stats"]["alpha_hours"]),
-    )
-    return Checkpoint(
-        arrays=arrays,
-        config=RunConfig(**meta["config"]).validate(),
-        stats=stats,
-        epoch=int(meta["epoch"]),
-        metric_name=str(meta["metric_name"]),
-        metric_value=float(meta["metric_value"]),
-    )
 
 
 # ------------------------------------------------------------------ scoring
@@ -148,16 +158,17 @@ def _score_episodes(
     if not episodes:
         raise DataError("cannot score an empty episode list")
     normed, _ = normalize(episodes, stats=stats)
-    ids: list[str] = []
-    scores = np.empty((len(normed), config.n_classes))
-    labels = np.empty((len(normed), config.n_classes))
-    for i, ep in enumerate(normed):
-        prep = prepare_episode(ep, config, stats)
-        logits = forward(prep, params, config)
-        ids.append(ep.episode_id)
-        scores[i] = _sigmoid_np(logits.data)
-        labels[i] = prep.label
-    return ids, scores, labels
+    preps = [prepare_episode(ep, config, stats) for ep in normed]
+    scores = np.empty((len(preps), config.n_classes))
+    for start, group in _groups(preps):
+        scores[start : start + len(group)] = _sigmoid_np(forward(collate(group), params, config).data)
+    return [p.episode_id for p in preps], scores, np.stack([p.label for p in preps])
+
+
+def _groups(preps: list[PreparedEpisode]):
+    """(start index, episodes) of consecutive GROUP_SIZE slices."""
+    for start in range(0, len(preps), GROUP_SIZE):
+        yield start, preps[start : start + GROUP_SIZE]
 
 
 def _selection_metric(scores: np.ndarray, labels: np.ndarray, task: str) -> float:
@@ -214,28 +225,28 @@ def train(
         epoch_losses = []
         for batch_index, start in enumerate(range(0, n, batch)):
             chunk = [prepared[i] for i in order[start : start + batch]]
-            acc: dict[str, np.ndarray] = {}
-            losses = []
-            for prep in chunk:
+            grads: dict[str, np.ndarray] = {}
+            batch_loss = 0.0
+            for _, group in _groups(chunk):
+                share = len(group) / len(chunk)
+                episodes = collate(group)
                 with Tape() as tape:
-                    logits = forward(prep, params, config)
-                    loss = bce_with_logits(logits, prep.label, config.pos_weight)
-                    tape.backward(loss)
-                losses.append(loss.item())
+                    logits = forward(episodes, params, config)
+                    loss = bce_with_logits(logits, episodes.labels, config.pos_weight)
+                    tape.backward(loss * share)
+                batch_loss += loss.item() * share
                 for name, t in flat.items():
                     g = tape.grad_or_none(t)
                     if g is None:
                         continue
-                    if name in acc:
-                        acc[name] += g
+                    if name in grads:
+                        grads[name] += g
                     else:
-                        acc[name] = g.copy()
-            batch_loss = float(np.mean(losses))
+                        grads[name] = g
             if not np.isfinite(batch_loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index} (lr={config.lr})"
                 )
-            grads = {name: g / len(chunk) for name, g in acc.items()}
             if config.grad_clip is not None:
                 total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
                 if total > config.grad_clip:

@@ -76,5 +76,5 @@ def impute(series: DiscretizedSeries, stats: NormalizationStats) -> Tensor:
 
 
 def conv_embed(values: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Causal 1-D convolution mapping [alpha x d_m] to [alpha x d_h]; linear, no activation."""
+    """Causal 1-D convolution mapping [... x alpha x d_m] to [... x alpha x d_h]; linear, no activation."""
     return causal_conv1d(values, kernel, bias)

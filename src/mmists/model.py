@@ -9,7 +9,9 @@ bit-identical regardless of which other components a variant instantiates.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,21 +34,25 @@ from .gating import GATE_LEVELS, GateParams, compute_gate, init_gate_params, utd
 from .imputation import ReferenceGrid, conv_embed, discretize, impute
 from .mtand import (
     MtandParams,
+    PaddedSeries,
     Time2VecBank,
     init_mtand_params,
     init_time2vec_bank,
     mtand_ts,
     mtand_txt,
+    pad_series,
 )
-from .tensor import Tensor, concat, layer_norm, matmul
+from .tensor import Tensor, concat, layer_norm, matmul, reshape
 
 __all__ = [
     "ConfigError",
     "RunConfig",
     "ModelParams",
     "PreparedEpisode",
+    "EpisodeBatch",
     "init_model",
     "prepare_episode",
+    "collate",
     "forward",
     "forward_fused",
     "single_modality_forward",
@@ -139,6 +145,12 @@ class RunConfig:
             raise ConfigError(f"heads ({c.heads}) must divide d_hidden ({c.d_hidden})")
         if c.d_timeembed < 2:
             raise ConfigError("d_timeembed needs a linear dim plus at least one periodic dim")
+        finite = {"lr": c.lr, "alpha_hours": c.alpha_hours, "pos_weight": c.pos_weight}
+        if c.grad_clip is not None:
+            finite["grad_clip"] = c.grad_clip
+        for name, value in finite.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if c.lr <= 0:
             raise ConfigError(f"lr must be positive, got {c.lr}")
         if c.epochs is not None and c.epochs < 0:
@@ -302,20 +314,71 @@ def _prep_stats(config: RunConfig, stats: NormalizationStats) -> NormalizationSt
     return stats
 
 
+@dataclass
+class EpisodeBatch:
+    """A group of G prepared episodes stacked into padded arrays; masks mark real entries."""
+
+    episode_ids: list[str]
+    labels: np.ndarray  # float [G x n_classes]
+    imputed: np.ndarray  # [G x alpha x d_m]
+    series: PaddedSeries  # [G x d_m x L], L = longest feature series in the group
+    note_times: np.ndarray  # [G x N], N = most notes in the group
+    note_embs: np.ndarray  # [G x N x d_t]
+    note_mask: np.ndarray  # bool [G x N]
+
+
+def collate(preps: list[PreparedEpisode]) -> EpisodeBatch:
+    """Stack prepared episodes into one padded group for a batched forward pass."""
+    if not preps:
+        raise ValueError("collate needs at least one episode")
+    counts = np.array([p.note_times.shape[0] for p in preps])
+    n = int(counts.max())
+    note_times = np.zeros((len(preps), n))
+    note_embs = np.zeros((len(preps), n, preps[0].note_embs.shape[1]))
+    for b, p in enumerate(preps):
+        note_times[b, : counts[b]] = p.note_times
+        note_embs[b, : counts[b]] = p.note_embs
+    return EpisodeBatch(
+        episode_ids=[p.episode_id for p in preps],
+        labels=np.stack([p.label for p in preps]),
+        imputed=np.stack([p.imputed for p in preps]),
+        series=pad_series([p.feature_series for p in preps]),
+        note_times=note_times,
+        note_embs=note_embs,
+        note_mask=np.arange(n) < counts[:, None],
+    )
+
+
+def _one_or_group(fn):
+    """Let ``fn`` take a single PreparedEpisode in place of its EpisodeBatch,
+    as a group of one; its result then comes back without the group axis."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if not any(isinstance(a, PreparedEpisode) for a in args):
+            return fn(*args, **kwargs)
+        out = fn(*(collate([a]) if isinstance(a, PreparedEpisode) else a for a in args), **kwargs)
+        return reshape(out, out.shape[1:])
+
+    return wrapper
+
+
+@_one_or_group
 def ts_embedding(
-    prep: PreparedEpisode,
+    batch: EpisodeBatch,
     params: ModelParams,
     config: RunConfig,
     gate_override: float | None = None,
 ) -> Tensor:
-    """The time-series stream: imputation-only, interpolation-only, or gated blend."""
+    """The time-series stream [G x alpha x d_h]: imputation-only,
+    interpolation-only, or gated blend."""
     grid = ReferenceGrid(config.alpha)
     if config.ts_embed == "imputation":
-        return conv_embed(Tensor(prep.imputed), params.conv_kernel, params.conv_bias)
+        return conv_embed(Tensor(batch.imputed), params.conv_kernel, params.conv_bias)
     if config.ts_embed == "mtand":
-        return mtand_ts(prep.feature_series, grid, params.ts_interp)
-    e_imp = conv_embed(Tensor(prep.imputed), params.conv_kernel, params.conv_bias)
-    e_attn = mtand_ts(prep.feature_series, grid, params.ts_interp)
+        return mtand_ts(batch.series, grid, params.ts_interp)
+    e_imp = conv_embed(Tensor(batch.imputed), params.conv_kernel, params.conv_bias)
+    e_attn = mtand_ts(batch.series, grid, params.ts_interp)
     if gate_override is None:
         g = compute_gate(e_imp, e_attn, params.gate)
     else:
@@ -324,51 +387,55 @@ def ts_embedding(
 
 
 def _txt_stream(
-    prep: PreparedEpisode, params: ModelParams, config: RunConfig
-) -> tuple[Tensor, np.ndarray | None, int]:
-    """Text stream plus its key mask and the row holding the last real note state."""
+    batch: EpisodeBatch, params: ModelParams, config: RunConfig
+) -> tuple[Tensor, np.ndarray | None, int | np.ndarray]:
+    """Text stream [G x alpha x d_h] plus its key mask and each episode's row
+    holding the last real note state."""
     grid = ReferenceGrid(config.alpha)
     if config.text_irregularity:
-        return mtand_txt(prep.note_times, prep.note_embs, grid, params.txt_interp), None, config.alpha - 1
-    l = prep.note_times.shape[0]
-    if l > config.alpha:
-        raise DataError(f"{l} notes exceed the {config.alpha}-row grid in padded-note mode")
-    proj = matmul(Tensor(prep.note_embs), params.note_proj_w) + params.note_proj_b
-    if l < config.alpha:
-        proj = concat([proj, Tensor(np.zeros((config.alpha - l, config.d_hidden)))], axis=0)
-    mask = np.arange(config.alpha) < l
-    return proj, mask, l - 1
+        z = mtand_txt(batch.note_times, batch.note_embs, grid, params.txt_interp, batch.note_mask)
+        return z, None, config.alpha - 1
+    g, n = batch.note_mask.shape
+    if n > config.alpha:
+        raise DataError(f"{n} notes exceed the {config.alpha}-row grid in padded-note mode")
+    proj = matmul(Tensor(batch.note_embs), params.note_proj_w) + params.note_proj_b
+    if n < config.alpha:
+        proj = concat([proj, Tensor(np.zeros((g, config.alpha - n, config.d_hidden)))], axis=1)
+    counts = batch.note_mask.sum(axis=1)
+    return proj, np.arange(config.alpha) < counts[:, None], counts - 1
 
 
+@_one_or_group
 def forward_fused(
-    prep: PreparedEpisode,
+    batch: EpisodeBatch,
     params: ModelParams,
     config: RunConfig,
     gate_override: float | None = None,
 ) -> Tensor:
-    z_ts = ts_embedding(prep, params, config, gate_override)
-    z_txt, txt_mask, txt_row = _txt_stream(prep, params, config)
+    z_ts = ts_embedding(batch, params, config, gate_override)
+    z_txt, txt_mask, txt_row = _txt_stream(batch, params, config)
     z_ts, z_txt = fusion_stack(z_ts, z_txt, params.fusion_layers, config.heads, txt_key_mask=txt_mask)
     z_ts = layer_norm(z_ts, params.fused_ln_ts.gain, params.fused_ln_ts.bias)
     z_txt = layer_norm(z_txt, params.fused_ln_txt.gain, params.fused_ln_txt.bias)
     return classify(z_ts, z_txt, params.fused_head, ts_row=config.alpha - 1, txt_row=txt_row)
 
 
+@_one_or_group
 def single_modality_forward(
     modality: str,
-    prep: PreparedEpisode,
+    batch: EpisodeBatch,
     params: ModelParams,
     config: RunConfig,
     gate_override: float | None = None,
 ) -> Tensor:
     """Self-attention-only backbone on one stream, classifier on its last state."""
     if modality == "ts":
-        z = ts_embedding(prep, params, config, gate_override)
+        z = ts_embedding(batch, params, config, gate_override)
         h = single_stack(z, params.ts_stack, config.heads)
         h = layer_norm(h, params.ts_ln.gain, params.ts_ln.bias)
         return classify_single(h, params.ts_head, row=config.alpha - 1)
     if modality == "txt":
-        z, mask, row = _txt_stream(prep, params, config)
+        z, mask, row = _txt_stream(batch, params, config)
         h = single_stack(z, params.txt_stack, config.heads, key_mask=mask)
         h = layer_norm(h, params.txt_ln.gain, params.txt_ln.bias)
         return classify_single(h, params.txt_head, row=row)
@@ -376,12 +443,13 @@ def single_modality_forward(
 
 
 def forward(
-    prep: PreparedEpisode,
+    prep: PreparedEpisode | EpisodeBatch,
     params: ModelParams,
     config: RunConfig,
     gate_override: float | None = None,
 ) -> Tensor:
-    """Dispatch on config.modality; returns logits [n_classes]."""
+    """Dispatch on config.modality; logits [G x n_classes] for a group,
+    [n_classes] for one PreparedEpisode."""
     if config.modality == "fused":
         return forward_fused(prep, params, config, gate_override)
     return single_modality_forward(config.modality, prep, params, config, gate_override)

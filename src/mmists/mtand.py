@@ -8,18 +8,31 @@ weights stay separate.
 
 from __future__ import annotations
 
-import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .imputation import ReferenceGrid
-from .tensor import Tensor, concat, masked_softmax, matmul, narrow, reshape, sin, swapaxes
+from .tensor import (
+    Tensor,
+    concat,
+    masked_softmax,
+    matmul,
+    narrow,
+    reduce_sum,
+    reshape,
+    sin,
+    swapaxes,
+    transpose,
+)
 
 __all__ = [
     "Time2VecParams",
     "Time2VecBank",
     "MtandParams",
+    "PaddedSeries",
+    "pad_series",
     "init_time2vec_bank",
     "init_mtand_params",
     "bank_head",
@@ -29,9 +42,6 @@ __all__ = [
     "mtand_ts",
     "mtand_txt",
 ]
-
-log = logging.getLogger(__name__)
-
 
 @dataclass
 class Time2VecParams:
@@ -66,6 +76,36 @@ class MtandParams:
     w_key: Tensor  # [V x d_v x d_v]
     w_out: Tensor  # [(V*d_in) x d_h]
     b_out: Tensor  # [d_h]
+
+
+@dataclass(frozen=True)
+class PaddedSeries:
+    """Per-feature observation series padded to one length L.
+
+    ``times``, ``values`` and ``mask`` are [... x d_m x L]; False mask entries
+    are padding and never receive attention weight.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+    mask: np.ndarray
+
+
+def pad_series(episodes: Sequence[list[tuple[np.ndarray, np.ndarray]]]) -> PaddedSeries:
+    """Stack each episode's per-feature (times, values) pairs into [G x d_m x L]
+    arrays, L being the longest series in the group (at least 1)."""
+    d_m = len(episodes[0])
+    if any(len(series) != d_m for series in episodes):
+        raise ValueError("episodes in one group must have the same number of features")
+    length = max([1] + [t.size for series in episodes for t, _ in series])
+    shape = (len(episodes), d_m, length)
+    times, values, mask = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+    for b, series in enumerate(episodes):
+        for j, (t, v) in enumerate(series):
+            times[b, j, : t.size] = t
+            values[b, j, : t.size] = v
+            mask[b, j, : t.size] = True
+    return PaddedSeries(times, values, mask)
 
 
 def init_time2vec_bank(rng: np.random.Generator, n_heads: int, d_v: int) -> Time2VecBank:
@@ -151,45 +191,53 @@ def time_attention(
     return matmul(weights, values)
 
 
-def _attention_all_heads(
-    grid_emb: Tensor,  # [V x alpha x d_v] precomputed grid time embeddings
-    key_times: np.ndarray,
-    values: np.ndarray,  # [l x c], attended as constants
-    params: MtandParams,
+def _attention_weights(
+    grid: ReferenceGrid, key_times: np.ndarray, key_mask: np.ndarray, params: MtandParams
 ) -> Tensor:
-    """All heads at once: [V x alpha x c]."""
-    d_v = params.bank.d_v
-    q = matmul(grid_emb, params.w_query)  # [V x alpha x d_v]
-    k = matmul(time2vec_heads(key_times, params.bank), params.w_key)  # [V x l x d_v]
-    scores = matmul(q, swapaxes(k, 1, 2)) * (d_v**-0.5)
-    weights, _ = masked_softmax(scores, None)
-    return matmul(weights, values)
+    """Every head's attention of every grid point over every key: [V x alpha x *key_times.shape].
+
+    The softmax runs over the last key axis; masked keys get weight 0 and a
+    row with no valid key comes back all zero. All keys share one
+    time-embedding and one score product. Scores (e_q W_q)(e_k W_k)^T are
+    taken as ((e_q W_q) W_k^T) e_k^T, so the key projection is applied once
+    to the alpha grid queries instead of to every key.
+    """
+    v, d_v = params.bank.n_heads, params.bank.d_v
+    q = matmul(time2vec_heads(grid.points, params.bank), params.w_query)  # [V x alpha x d_v]
+    qk = matmul(q, swapaxes(params.w_key, 1, 2))
+    keys = time2vec_heads(key_times.reshape(-1), params.bank)  # [V x n x d_v]
+    scores = matmul(qk, swapaxes(keys, 1, 2)) * (d_v**-0.5)  # [V x alpha x n]
+    weights, _ = masked_softmax(reshape(scores, (v, grid.n_points) + key_times.shape), key_mask)
+    return weights
 
 
-def _project_heads(stacked: Tensor, params: MtandParams) -> Tensor:
-    """[V x alpha x d_in] -> concat head outputs per grid row -> [alpha x d_h]."""
-    v, alpha, d_in = stacked.shape
-    flat = reshape(swapaxes(stacked, 0, 1), (alpha, v * d_in))
-    return matmul(flat, params.w_out) + params.b_out
+def _project_heads(mixed: Tensor, params: MtandParams) -> Tensor:
+    """[V x alpha x ... x c] -> each grid row's head outputs concatenated -> [... x alpha x d_h]."""
+    v, alpha, *lead, c = mixed.shape
+    n = len(lead)
+    rows = transpose(mixed, (*range(2, 2 + n), 1, 0, 2 + n))  # [... x alpha x V x c]
+    return matmul(reshape(rows, (*lead, alpha, v * c)), params.w_out) + params.b_out
 
 
 def mtand_ts(
-    feature_series: list[tuple[np.ndarray, np.ndarray]],
+    series: PaddedSeries | list[tuple[np.ndarray, np.ndarray]],
     grid: ReferenceGrid,
     params: MtandParams,
 ) -> Tensor:
-    """Interpolate each feature's own (times, values) onto the grid, all heads,
-    then project the concatenated head outputs to [alpha x d_h]."""
-    v, alpha = params.bank.n_heads, grid.n_points
-    grid_emb = time2vec_heads(grid.points, params.bank)
-    columns: list[Tensor] = []
-    for j, (times, vals) in enumerate(feature_series):
-        if times.size == 0:
-            log.debug("feature %d has no observations; contributing zero column", j)
-            columns.append(Tensor(np.zeros((v, alpha, 1))))
-            continue
-        columns.append(_attention_all_heads(grid_emb, times, vals.reshape(-1, 1), params))
-    return _project_heads(concat(columns, axis=2), params)
+    """Interpolate each feature's own observations onto the grid, all heads and
+    features in one masked attention, then project the concatenated head
+    outputs.
+
+    ``series`` is a PaddedSeries [... x d_m x L], giving [... x alpha x d_h],
+    or one episode's list of per-feature (times, values), giving
+    [alpha x d_h]. A feature without observations is a fully masked row and
+    contributes a zero column.
+    """
+    if not isinstance(series, PaddedSeries):
+        one = pad_series([series])
+        series = PaddedSeries(one.times[0], one.values[0], one.mask[0])
+    weights = _attention_weights(grid, series.times, series.mask, params)  # [V x alpha x ... x d_m x L]
+    return _project_heads(reduce_sum(weights * series.values, axis=-1), params)
 
 
 def mtand_txt(
@@ -197,10 +245,18 @@ def mtand_txt(
     note_embeddings: np.ndarray,
     grid: ReferenceGrid,
     params: MtandParams,
+    note_mask: np.ndarray | None = None,
 ) -> Tensor:
-    """Interpolate note embeddings (all dims share the note times) onto the grid."""
-    if np.asarray(note_times).size == 0:
-        raise ValueError("mtand_txt needs at least one note")
-    grid_emb = time2vec_heads(grid.points, params.bank)
-    stacked = _attention_all_heads(grid_emb, note_times, note_embeddings, params)
-    return _project_heads(stacked, params)
+    """Interpolate note embeddings (all dims share the note times) onto the grid.
+
+    note_times [... x N], note_embeddings [... x N x d_t] and note_mask
+    [... x N] (real notes; default all) give [... x alpha x d_h]. Every
+    episode needs at least one note.
+    """
+    note_times = np.asarray(note_times, dtype=np.float64)
+    mask = np.ones(note_times.shape, dtype=bool) if note_mask is None else np.asarray(note_mask, dtype=bool)
+    if note_times.size == 0 or not mask.any(axis=-1).all():
+        raise ValueError("mtand_txt needs at least one note per episode")
+    weights = _attention_weights(grid, note_times, mask, params)  # [V x alpha x ... x N]
+    mixed = reduce_sum(reshape(weights, weights.shape + (1,)) * note_embeddings, axis=-2)
+    return _project_heads(mixed, params)

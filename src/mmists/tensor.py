@@ -35,6 +35,8 @@ __all__ = [
     "narrow",
     "reshape",
     "swapaxes",
+    "transpose",
+    "gather_rows",
     "layer_norm",
     "softmax",
     "masked_softmax",
@@ -63,7 +65,7 @@ class Tensor:
 
     def __init__(self, data) -> None:
         arr = np.ascontiguousarray(data, dtype=np.float64)
-        if any(d < 1 for d in arr.shape):
+        if arr.size == 0:
             raise ShapeError(f"tensor dimensions must be >= 1, got {arr.shape}")
         self.data = arr
         self._tape: Tape | None = None
@@ -131,6 +133,9 @@ class _Node:
     backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None
 
 
+_SPENT = _Node("spent", (), None)  # stands in for an interior node once backward has passed it
+
+
 class Tape:
     """Ordered record of ops; replaying it backwards accumulates gradients.
 
@@ -141,6 +146,7 @@ class Tape:
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
         self.gradients: dict[int, np.ndarray] = {}
+        self._swept = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -171,19 +177,30 @@ class Tape:
         self.nodes.append(_Node(op, ids, backward))
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``gradients`` for every node contributing to ``loss``."""
+        """Populate ``gradients`` for every leaf contributing to ``loss``.
+
+        The sweep frees as it goes: once a node's gradient has been passed on
+        to its inputs, the gradient and the node's saved backward closure
+        (and with it the activations the closure holds) are dropped. Only
+        leaf gradients stay readable, and a tape can be swept only once.
+        """
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
         if loss._tape is not self or loss._node is None:
             raise ValueError("loss tensor was not recorded on this tape")
+        if self._swept:
+            raise RuntimeError("backward() already ran on this tape; record a new one")
+        self._swept = True
         self.gradients = {loss._node: np.ones_like(loss.data)}
         grads = self.gradients
+        nodes = self.nodes
         for node_id in range(loss._node, -1, -1):
-            g = grads.get(node_id)
-            if g is None:
-                continue
-            node = self.nodes[node_id]
+            node = nodes[node_id]
             if node.backward is None:
+                continue
+            nodes[node_id] = _SPENT
+            g = grads.pop(node_id, None)
+            if g is None:
                 continue
             input_grads = node.backward(g)
             for in_id, ig in zip(node.input_ids, input_grads):
@@ -231,6 +248,10 @@ def _unary(x: Tensor, out_data: np.ndarray, backward, op: str) -> Tensor:
 
 
 def _binary(a, b, forward, grad_a, grad_b, op: str) -> Tensor:
+    """Elementwise op with broadcasting. ``grad_a(g, bv)`` and ``grad_b(g, av)``
+    map the output gradient to each operand's; either may be None for an op
+    whose gradients do not read the operands, and then the backward closure
+    keeps no operand values alive."""
     a_t = isinstance(a, Tensor)
     b_t = isinstance(b, Tensor)
     av = a.data if a_t else _as_const(a)
@@ -239,13 +260,16 @@ def _binary(a, b, forward, grad_a, grad_b, op: str) -> Tensor:
     tape = _active_tape()
     if tape is not None and (a_t or b_t):
         inputs = tuple(t for t, is_t in ((a, a_t), (b, b_t)) if is_t)
+        a_shape, b_shape = av.shape, bv.shape
+        keep_a = av if b_t and grad_b is not None else None
+        keep_b = bv if a_t and grad_a is not None else None
 
         def backward(g: np.ndarray):
             grads = []
             if a_t:
-                grads.append(_reduce_to(grad_a(g, av, bv), av.shape))
+                grads.append(_reduce_to(g if grad_a is None else grad_a(g, keep_b), a_shape))
             if b_t:
-                grads.append(_reduce_to(grad_b(g, av, bv), bv.shape))
+                grads.append(_reduce_to(g if grad_b is None else grad_b(g, keep_a), b_shape))
             return tuple(grads)
 
         tape.record(out, inputs, backward, op)
@@ -253,15 +277,15 @@ def _binary(a, b, forward, grad_a, grad_b, op: str) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g, "add")
+    return _binary(a, b, np.add, None, None, "add")
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g, "sub")
+    return _binary(a, b, np.subtract, None, lambda g, _: -g, "sub")
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
+    return _binary(a, b, np.multiply, np.multiply, np.multiply, "mul")
 
 
 def neg(x: Tensor) -> Tensor:
@@ -290,11 +314,16 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     xd = x.data
-    return _unary(x, np.maximum(xd, 0.0), lambda g: (g * (xd > 0.0),), "relu")
+    active = xd > 0.0
+    return _unary(x, np.maximum(xd, 0.0), lambda g: (g * active,), "relu")
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
+    """Matrix product over the last two axes; leading axes broadcast.
+
+    A 2-D right operand (a weight) is applied to all leading rows of the
+    left operand as one [rows x k] @ [k x n] product, forward and backward.
+    """
     a_t = isinstance(a, Tensor)
     b_t = isinstance(b, Tensor)
     av = a.data if a_t else _as_const(a)
@@ -303,13 +332,25 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {av.shape} x {bv.shape}")
-    out = Tensor(av @ bv)
+    fold = bv.ndim == 2 and av.ndim > 2
+    if fold:
+        out_shape = av.shape[:-1] + bv.shape[-1:]
+        out = Tensor((av.reshape(-1, av.shape[-1]) @ bv).reshape(out_shape))
+    else:
+        out = Tensor(av @ bv)
     tape = _active_tape()
     if tape is not None and (a_t or b_t):
         inputs = tuple(t for t, is_t in ((a, a_t), (b, b_t)) if is_t)
 
         def backward(g: np.ndarray):
             grads = []
+            if fold:
+                g2 = g.reshape(-1, g.shape[-1])
+                if a_t:
+                    grads.append((g2 @ bv.T).reshape(av.shape))
+                if b_t:
+                    grads.append(av.reshape(-1, av.shape[-1]).T @ g2)
+                return tuple(grads)
             if a_t:
                 grads.append(_reduce_to(g @ np.swapaxes(bv, -1, -2), av.shape))
             if b_t:
@@ -400,6 +441,38 @@ def swapaxes(x: Tensor, ax1: int, ax2: int) -> Tensor:
     )
 
 
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Permute axes: output axis i is input axis ``axes[i]``."""
+    inverse = tuple(int(i) for i in np.argsort(axes))
+    return _unary(
+        x,
+        np.ascontiguousarray(np.transpose(x.data, axes)),
+        lambda g: (np.transpose(g, inverse),),
+        "transpose",
+    )
+
+
+def gather_rows(x: Tensor, rows) -> Tensor:
+    """Pick one row of each matrix in ``x`` [... x T x d]: ``rows`` is an int,
+    or ints shaped like the leading axes. Returns [... x 1 x d]."""
+    xd = x.data
+    if xd.ndim < 2:
+        raise ShapeError(f"gather_rows needs a >=2-d tensor, got {xd.shape}")
+    lead, (steps, d) = xd.shape[:-2], xd.shape[-2:]
+    r = np.broadcast_to(np.asarray(rows, dtype=np.intp), lead)
+    if np.any((r < 0) | (r >= steps)):
+        raise ShapeError(f"row indices {r} outside [0, {steps})")
+    idx = np.broadcast_to(r[..., None, None], lead + (1, d))
+    xshape = xd.shape
+
+    def backward(g: np.ndarray):
+        full = np.zeros(xshape)
+        np.put_along_axis(full, idx, g, axis=-2)
+        return (full,)
+
+    return _unary(x, np.take_along_axis(xd, idx, axis=-2), backward, "gather_rows")
+
+
 _LN_EPS = 1e-5
 
 
@@ -470,21 +543,21 @@ def softmax(scores: Tensor) -> Tensor:
 def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """1-D convolution over time with left zero-padding of (k-1) rows.
 
-    x: [T, c_in], kernel: [k, c_in, c_out], bias: [c_out]. Output row t
-    depends only on input rows <= t.
+    x: [... x T x c_in], kernel: [k x c_in x c_out], bias: [c_out]. Output
+    row t depends only on input rows <= t of the same sequence.
     """
     xd, kd, bd = x.data, kernel.data, bias.data
-    if xd.ndim != 2 or kd.ndim != 3 or xd.shape[1] != kd.shape[1]:
-        raise ShapeError(f"conv expects x [T,c_in], kernel [k,c_in,c_out]; got {xd.shape}, {kd.shape}")
-    steps, c_in = xd.shape
+    if xd.ndim < 2 or kd.ndim != 3 or xd.shape[-1] != kd.shape[1]:
+        raise ShapeError(f"conv expects x [..,T,c_in], kernel [k,c_in,c_out]; got {xd.shape}, {kd.shape}")
+    lead, (steps, c_in) = xd.shape[:-2], xd.shape[-2:]
     k, _, c_out = kd.shape
     if bd.shape != (c_out,):
         raise ShapeError(f"bias must have shape ({c_out},), got {bd.shape}")
-    padded = np.zeros((steps + k - 1, c_in))
-    padded[k - 1 :] = xd
-    out_data = np.broadcast_to(bd, (steps, c_out)).copy()
+    padded = np.zeros(lead + (steps + k - 1, c_in))
+    padded[..., k - 1 :, :] = xd
+    out_data = np.broadcast_to(bd, lead + (steps, c_out)).copy()
     for i in range(k):
-        out_data += padded[i : i + steps] @ kd[i]
+        out_data += padded[..., i : i + steps, :] @ kd[i]
     out = Tensor(out_data)
     tape = _active_tape()
     if tape is not None:
@@ -492,10 +565,11 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         def backward(g: np.ndarray):
             g_pad = np.zeros_like(padded)
             g_k = np.empty_like(kd)
+            g_rows = g.reshape(-1, c_out)
             for i in range(k):
-                g_pad[i : i + steps] += g @ kd[i].T
-                g_k[i] = padded[i : i + steps].T @ g
-            return g_pad[k - 1 :], g_k, g.sum(axis=0)
+                g_pad[..., i : i + steps, :] += g @ kd[i].T
+                g_k[i] = padded[..., i : i + steps, :].reshape(-1, c_in).T @ g_rows
+            return g_pad[..., k - 1 :, :], g_k, g_rows.sum(axis=0)
 
         tape.record(out, (x, kernel, bias), backward, "causal_conv1d")
     return out

@@ -28,6 +28,7 @@ from mmists.imputation import ReferenceGrid, discretize, impute
 from mmists.metrics import auroc, aupr
 from mmists.model import (
     RunConfig,
+    collate,
     forward,
     init_model,
     prepare_episode,
@@ -272,6 +273,33 @@ def test_criterion_01_gradient_suite():
         f"params={n_checked} elapsed={elapsed:.1f}s (bounds: 1e-4, 60s)",
     )
     assert ok, line
+
+
+def test_group_gradient_suite():
+    """Criterion 01's model check on a padded 2-episode group: the second
+    episode has one observation, an unobserved feature and a single note."""
+    config = _small_fused_config()
+    stats = _norm_stats(2, mean=0.4)
+    other = Episode(
+        "acc-ep2",
+        (TsObservation(0, 0.25, 0.5),),
+        (NoteEvent(0.6, embedding=np.random.default_rng(124).normal(size=8)),),
+        np.array([0]),
+    )
+    batch = collate([prepare_episode(ep, config, stats) for ep in (_small_episode(), other)])
+    params = init_model(config)
+    inactive = ("ts_stack", "ts_ln", "ts_head", "txt_stack", "txt_ln", "txt_head")
+    active = {name: t for name, t in params.flat().items() if not name.startswith(inactive)}
+
+    def loss_fn():
+        return bce_with_logits(forward(batch, params, config), batch.labels)
+
+    with Tape() as tape:
+        tape.backward(loss_fn())
+    tape_grads = {k: tape.grad(t) for k, t in active.items()}
+    fd = finite_difference_gradients(lambda: loss_fn().item(), active)
+    worst = max(relative_error(tape_grads[k], fd[k]) for k in active)
+    assert worst < 1e-4, f"group rel err {worst:.2e}"
 
 
 # ------------------------------------------------------------------ criterion 2

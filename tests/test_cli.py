@@ -153,6 +153,15 @@ def test_invalid_config_value_exits_2(tmp_path, dataset):
     assert rc == 2
 
 
+def test_non_finite_config_value_exits_2(tmp_path, dataset):
+    train_path, val_path, _ = dataset
+    cfg = write_config(tmp_path, extra={"lr": "nan"})
+    rc = main(["train", "--config", str(cfg), "--seed", "0",
+               "--train-path", str(train_path), "--val-path", str(val_path),
+               "--checkpoint-path", str(tmp_path / "x.ckpt")])
+    assert rc == 2
+
+
 def test_missing_data_file_exits_3(tmp_path, dataset):
     _, val_path, _ = dataset
     cfg = write_config(tmp_path)

@@ -94,6 +94,17 @@ class TestLoad:
         with pytest.raises(DataError, match="feature index 7"):
             load_episodes(p, SCHEMA)
 
+    def test_non_integral_feature_index_rejected(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [make_record(ts=[{"f": 1.7, "t": 1.0, "v": 0.0}])])
+        with pytest.raises(DataError, match="not an integer"):
+            load_episodes(p, SCHEMA)
+        write_lines(p, [make_record(ts=[{"f": 10**400, "t": 1.0, "v": 0.0}])])
+        with pytest.raises(DataError, match="'ts'"):
+            load_episodes(p, SCHEMA)
+        write_lines(p, [make_record(ts=[{"f": 1.0, "t": 1.0, "v": 0.0}])])
+        assert load_episodes(p, SCHEMA)[0].observations[0].feature_index == 1
+
     def test_note_free_episode_rejected(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_lines(p, [make_record(notes=[])])

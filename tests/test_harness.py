@@ -1,11 +1,13 @@
 """Training-loop behavior: determinism, checkpoint selection, round trips."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from mmists.data import DataError, GenConfig, generate_synthetic
+from mmists import harness
+from mmists.data import DataError, GenConfig, generate_synthetic, normalize
 from mmists.harness import (
     Checkpoint,
     NumericalError,
@@ -20,7 +22,8 @@ from mmists.harness import (
     train,
 )
 from mmists.metrics import EvalReport, evaluate_scores
-from mmists.model import ConfigError, RunConfig, init_model
+from mmists.model import ConfigError, RunConfig, forward, init_model, prepare_episode
+from mmists.tensor import Tape, bce_with_logits
 
 
 SMALL = dict(
@@ -122,6 +125,42 @@ def test_nan_loss_aborts_with_diagnostic(splits):
             train(small_config(lr=1e200, epochs=3), tr, va)
 
 
+def test_batch_gradient_is_mean_of_episode_gradients(splits, monkeypatch):
+    tr, va, _ = splits
+    episodes = tr[:10]
+    assert len(episodes) % harness.GROUP_SIZE != 0  # the last group is smaller
+    config = small_config(batch_size=len(episodes), epochs=1)
+    stepped = []
+
+    def recording_step(params, grads, state, *args, **kwargs):
+        stepped.append({name: g.copy() for name, g in grads.items()})
+        return adam_step(params, grads, state, *args, **kwargs)
+
+    adam_step = harness.adam_step
+    monkeypatch.setattr(harness, "adam_step", recording_step)
+    losses = []
+    train(config, episodes, va, loss_trace=losses)
+
+    normed, stats = normalize(episodes, alpha_hours=config.alpha_hours, n_features=config.n_features)
+    params = init_model(config)
+    flat = params.flat()
+    mean_grads: dict[str, np.ndarray] = {}
+    mean_loss = 0.0
+    for ep in normed:
+        prep = prepare_episode(ep, config, stats)
+        with Tape() as tape:
+            loss = bce_with_logits(forward(prep, params, config), prep.label)
+            tape.backward(loss)
+        mean_loss += loss.item() / len(normed)
+        for name, t in flat.items():
+            g = tape.grad_or_none(t)
+            if g is not None:
+                mean_grads[name] = mean_grads.get(name, 0.0) + g / len(normed)
+    assert len(stepped) == 1 and stepped[0].keys() == mean_grads.keys()
+    assert max(np.max(np.abs(stepped[0][k] - mean_grads[k])) for k in mean_grads) <= 1e-12
+    assert abs(losses[0] - mean_loss) <= 1e-12
+
+
 def test_aggressive_clipping_freezes_the_loss(splits):
     tr, va, _ = splits
     # one full batch per epoch: the loss moves only as far as the update allows
@@ -177,6 +216,34 @@ def test_checkpoint_save_load_round_trip(tmp_path, splits):
 def test_corrupt_checkpoint_raises_data_error(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")
+    with pytest.raises(DataError, match="unreadable checkpoint"):
+        load_checkpoint(path)
+
+
+def _rewrite_meta(path, edit) -> None:
+    with np.load(path) as bundle:
+        payload = {key: bundle[key] for key in bundle.files}
+    meta = json.loads(payload["meta"].tobytes().decode("utf-8"))
+    edit(meta)
+    payload["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as f:
+        np.savez(f, **payload)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda meta: meta["config"].update(unknown_key=1),
+        lambda meta: meta.pop("stats"),
+        lambda meta: meta["config"].update(lr="fast"),
+    ],
+    ids=["unknown-config-key", "missing-stats", "bad-config-value"],
+)
+def test_malformed_checkpoint_meta_raises_data_error(tmp_path, splits, edit):
+    tr, va, _ = splits
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, train(small_config(epochs=0), tr, va))
+    _rewrite_meta(path, edit)
     with pytest.raises(DataError, match="unreadable checkpoint"):
         load_checkpoint(path)
 

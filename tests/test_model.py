@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mmists.data import DataError, GenConfig, generate_synthetic, normalize
+from mmists.data import (
+    DataError,
+    Episode,
+    GenConfig,
+    NormalizationStats,
+    NoteEvent,
+    TsObservation,
+    generate_synthetic,
+    normalize,
+)
 from mmists.model import (
     ConfigError,
     ModelParams,
     RunConfig,
+    collate,
     forward,
     forward_fused,
     init_model,
@@ -18,7 +28,8 @@ from mmists.model import (
     single_modality_forward,
     ts_embedding,
 )
-from mmists.tensor import Tape, Tensor, bce_with_logits
+from mmists.fusion import classify_single, single_stack
+from mmists.tensor import Tape, Tensor, bce_with_logits, layer_norm
 
 SMALL = dict(
     alpha=6, n_features=3, text_dim=8, d_hidden=8, d_timeembed=4,
@@ -76,6 +87,13 @@ class TestConfig:
         kw.update(overrides)
         with pytest.raises(ConfigError):
             RunConfig(seed=0, **kw).validate()
+
+
+    @pytest.mark.parametrize("name", ["lr", "alpha_hours", "pos_weight", "grad_clip"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(seed=0, **dict(SMALL, **{name: value})).validate()
 
 
 class TestInit:
@@ -214,3 +232,101 @@ class TestForward:
         # single-modality stacks are inactive in the fused pass
         assert not np.any(active["ts_head.w_out"])
         assert not np.any(active["txt_stack.0.ffn.w_in"])
+
+
+def mixed_group(cfg):
+    """Three prepared episodes a padded group must keep apart: a feature with
+    no observations, unequal observation counts, and 1, 5 and 2 notes."""
+    rng = np.random.default_rng(77)
+
+    def episode(i, counts, n_notes):
+        obs = tuple(
+            TsObservation(f, float(t), float(rng.random()))
+            for f, c in enumerate(counts)
+            for t in np.sort(rng.random(c))
+        )
+        notes = tuple(
+            NoteEvent(float(t), embedding=rng.normal(size=8)) for t in np.sort(rng.random(n_notes))
+        )
+        return Episode(f"g{i}", obs, notes, np.array([i % 2]))
+
+    stats = NormalizationStats(np.zeros(3), np.ones(3), np.full(3, 0.4), 24.0)
+    eps = [episode(0, (2, 0, 3), 1), episode(1, (5, 1, 1), 5), episode(2, (1, 4, 0), 2)]
+    return [prepare_episode(ep, cfg, stats) for ep in eps]
+
+
+def perturbed_params(cfg):
+    """Initial parameters plus noise, so no bias or gate weight is zero and
+    padded rows differ from real ones."""
+    params = init_model(cfg)
+    rng = np.random.default_rng(78)
+    for t in params.flat().values():
+        t.data += rng.normal(0.0, 0.2, size=t.shape)
+    return params
+
+
+GROUP_VARIANTS = [
+    dict(modality="fused"),
+    dict(modality="ts"),
+    dict(modality="txt"),
+    dict(modality="fused", text_irregularity=False),
+    dict(modality="txt", text_irregularity=False),
+]
+
+
+class TestGroups:
+    def test_collate_pads_and_masks(self):
+        cfg = small_config(note_budget=5)
+        batch = collate(mixed_group(cfg))
+        assert batch.episode_ids == ["g0", "g1", "g2"]
+        assert batch.imputed.shape == (3, cfg.alpha, 3)
+        assert batch.series.times.shape == (3, 3, 5)
+        assert_array_equal(batch.series.mask.sum(axis=2), [[2, 0, 3], [5, 1, 1], [1, 4, 0]])
+        assert batch.note_embs.shape == (3, 5, 8)
+        assert_array_equal(batch.note_mask.sum(axis=1), [1, 5, 2])
+        assert_array_equal(batch.labels, [[0.0], [1.0], [0.0]])
+
+    @pytest.mark.parametrize("overrides", GROUP_VARIANTS, ids=lambda o: "-".join(map(str, o.values())))
+    def test_group_logits_equal_single_episode_logits(self, overrides):
+        cfg = small_config(note_budget=5, **overrides)
+        preps = mixed_group(cfg)
+        params = perturbed_params(cfg)
+        grouped = forward(collate(preps), params, cfg).data
+        assert grouped.shape == (3, 1)
+        for b, prep in enumerate(preps):
+            single = forward(prep, params, cfg).data
+            assert single.shape == (1,)
+            assert np.max(np.abs(grouped[b] - single)) <= 1e-12
+
+    @pytest.mark.parametrize("overrides", GROUP_VARIANTS, ids=lambda o: "-".join(map(str, o.values())))
+    def test_group_gradient_is_mean_of_episode_gradients(self, overrides):
+        cfg = small_config(note_budget=5, **overrides)
+        preps = mixed_group(cfg)
+        params = perturbed_params(cfg)
+        flat = params.flat()
+        batch = collate(preps)
+        with Tape() as tape:
+            tape.backward(bce_with_logits(forward(batch, params, cfg), batch.labels))
+        grouped = {k: tape.grad(t).copy() for k, t in flat.items()}
+        mean = {k: np.zeros_like(t.data) for k, t in flat.items()}
+        for prep in preps:
+            with Tape() as tape:
+                tape.backward(bce_with_logits(forward(prep, params, cfg), prep.label))
+            for k, t in flat.items():
+                mean[k] += tape.grad(t) / len(preps)
+        assert max(np.max(np.abs(grouped[k] - mean[k])) for k in flat) <= 1e-12
+        assert any(np.any(g != 0.0) for g in grouped.values())
+
+    @pytest.mark.parametrize("member", [0, 1, 2])
+    def test_padded_note_mode_reads_the_last_real_note(self, member):
+        cfg = small_config(note_budget=5, modality="txt", text_irregularity=False)
+        preps = mixed_group(cfg)
+        params = perturbed_params(cfg)
+        prep = preps[member]
+        l = prep.note_times.shape[0]
+        z = np.zeros((cfg.alpha, cfg.d_hidden))
+        z[:l] = prep.note_embs @ params.note_proj_w.data + params.note_proj_b.data
+        h = single_stack(Tensor(z), params.txt_stack, cfg.heads, key_mask=np.arange(cfg.alpha) < l)
+        h = layer_norm(h, params.txt_ln.gain, params.txt_ln.bias)
+        want = classify_single(h, params.txt_head, row=l - 1).data
+        assert np.max(np.abs(forward(collate(preps), params, cfg).data[member] - want)) <= 1e-12

@@ -16,6 +16,7 @@ from mmists.tensor import (
     causal_conv1d,
     concat,
     finite_difference_gradients,
+    gather_rows,
     layer_norm,
     masked_softmax,
     matmul,
@@ -29,6 +30,7 @@ from mmists.tensor import (
     sin,
     softmax,
     swapaxes,
+    transpose,
 )
 
 
@@ -158,6 +160,25 @@ class TestForward:
         out = causal_conv1d(Tensor(x), Tensor(kernel), Tensor(bias)).data
         assert_allclose(out, x @ kernel[0] + bias)
 
+    def test_batched_causal_conv_matches_each_sequence(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 6, 2))
+        kernel, bias = Tensor(rng.normal(size=(2, 2, 4))), Tensor(rng.normal(size=4))
+        out = causal_conv1d(Tensor(x), kernel, bias).data
+        for b in range(3):
+            assert_allclose(out[b], causal_conv1d(Tensor(x[b]), kernel, bias).data, rtol=0, atol=1e-14)
+
+    def test_gather_rows_picks_one_row_per_matrix(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        assert_allclose(gather_rows(Tensor(x), np.array([2, 0])).data, [[x[0, 2]], [x[1, 0]]])
+        assert_allclose(gather_rows(Tensor(x[0]), 1).data, x[0, 1:2])
+        with pytest.raises(ShapeError):
+            gather_rows(Tensor(x), np.array([3, 0]))
+
+    def test_transpose_matches_numpy(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        assert_allclose(transpose(Tensor(x), (2, 0, 1)).data, np.transpose(x, (2, 0, 1)))
+
     def test_bce_with_logits_matches_reference(self):
         logits = np.array([-2.0, 0.0, 3.0, 8.0, -5.0])
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
@@ -187,6 +208,35 @@ class TestBackward:
         a = Tensor(rng.normal(size=(5, 3, 4)))
         b = Tensor(rng.normal(size=(4, 2)))
         check_grads(lambda: reduce_sum(matmul(a, b) * 0.3), {"a": a, "b": b})
+
+    def test_matmul_folds_leading_rows_into_one_product(self):
+        rng = np.random.default_rng(14)
+        a = Tensor(rng.normal(size=(2, 3, 4)))
+        b = Tensor(rng.normal(size=(4, 2)))
+        w = rng.normal(size=(2, 3, 2))
+        with Tape() as tape:
+            tape.backward(reduce_sum(matmul(a, b) * w))
+        # the same product spelled as an explicit per-matrix loop
+        assert_allclose(tape.grad(b), sum(a.data[i].T @ w[i] for i in range(2)), rtol=1e-13)
+        assert_allclose(tape.grad(a), w @ b.data.T, rtol=1e-13)
+
+    def test_transpose_and_gather_rows(self):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        w = rng.normal(size=(4, 2, 3))
+        check_grads(lambda: reduce_sum(sin(transpose(x, (2, 0, 1))) * w), {"x": x})
+        v = rng.normal(size=(2, 1, 4))
+        check_grads(lambda: reduce_sum(sin(gather_rows(x, np.array([1, 2]))) * v), {"x": x})
+
+    def test_batched_causal_conv_grads(self):
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(2, 5, 3)))
+        kernel = Tensor(rng.normal(size=(2, 3, 4)) * 0.3)
+        bias = Tensor(rng.normal(size=4) * 0.1)
+        check_grads(
+            lambda: reduce_sum(sin(causal_conv1d(x, kernel, bias))),
+            {"x": x, "kernel": kernel, "bias": bias},
+        )
 
     def test_unary_chain(self):
         rng = np.random.default_rng(13)
@@ -299,6 +349,39 @@ class TestBackward:
             y = x * 2.0
             with pytest.raises(ShapeError):
                 tape.backward(y)
+
+    def test_freeing_backward_keeps_leaf_gradients_bit_identical(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(3, 4)))
+        w = Tensor(rng.normal(size=(4, 4)))
+        gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
+
+        def build():
+            h = layer_norm(matmul(x, w) + x, gain, bias)
+            return h, reduce_sum(sigmoid(h) * h + h)
+
+        # reference: the same reverse sweep, keeping every gradient and closure
+        leaves = {"x": x, "w": w, "gain": gain, "bias": bias}
+        with Tape() as ref:
+            _, loss = build()
+        leaf_ids = {name: t.node_id for name, t in leaves.items()}
+        grads = {loss.node_id: np.ones_like(loss.data)}
+        for node_id in range(loss.node_id, -1, -1):
+            node = ref.nodes[node_id]
+            if node.backward is None or node_id not in grads:
+                continue
+            for in_id, ig in zip(node.input_ids, node.backward(grads[node_id])):
+                grads[in_id] = grads[in_id] + ig if in_id in grads else ig.copy()
+
+        with Tape() as tape:
+            hidden, loss = build()
+            tape.backward(loss)
+        for name, leaf in leaves.items():
+            np.testing.assert_array_equal(tape.grad(leaf), grads[leaf_ids[name]])
+        assert tape.grad_or_none(hidden) is None
+        assert tape.grad_or_none(loss) is None
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
 
     def test_composite_attention_like_block(self):
         rng = np.random.default_rng(20)
