@@ -328,6 +328,8 @@ def group_by_feature(ep: Episode, n_features: int) -> list[tuple[np.ndarray, np.
 
 def note_matrix(ep: Episode) -> tuple[np.ndarray, np.ndarray]:
     """(times[l], embeddings[l x d_t]) for an episode whose notes are all embedded."""
+    if not ep.notes:
+        raise DataError(f"episode {ep.episode_id} has no notes; every episode needs at least one")
     if any(n.embedding is None for n in ep.notes):
         raise DataError(f"episode {ep.episode_id} has un-encoded text notes")
     times = np.array([n.time for n in ep.notes])

@@ -15,17 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    concat,
-    gather_rows,
-    layer_norm,
-    masked_softmax,
-    matmul,
-    relu,
-    reshape,
-    swapaxes,
-)
+from .tensor import Tensor, attention, concat, gather_rows, layer_norm, linear, relu, reshape
 
 __all__ = [
     "AttentionParams",
@@ -170,23 +160,10 @@ def _multi_head(
     key_mask: np.ndarray | None,
 ) -> Tensor:
     """Scaled dot-product attention split over heads; key_mask [... x l] hides kv rows."""
-    *lead, a, d = q_in.shape
-    l = kv_in.shape[-2]
-    if d % heads != 0:
-        raise ValueError(f"head count {heads} must divide width {d}")
-    dk = d // heads
-
-    def split(x: Tensor, rows: int) -> Tensor:  # [... x rows x d] -> [... x H x rows x dk]
-        return swapaxes(reshape(x, (*lead, rows, heads, dk)), -3, -2)
-
-    qh = split(matmul(q_in, p.w_q) + p.b_q, a)
-    kh = split(matmul(kv_in, p.w_k) + p.b_k, l)
-    vh = split(matmul(kv_in, p.w_v) + p.b_v, l)
-    scores = matmul(qh, swapaxes(kh, -2, -1)) * (dk**-0.5)  # [... x H x a x l]
-    mask = None if key_mask is None else np.asarray(key_mask, dtype=bool)[..., None, None, :]
-    weights, _ = masked_softmax(scores, mask)
-    merged = reshape(swapaxes(matmul(weights, vh), -3, -2), (*lead, a, d))
-    return matmul(merged, p.w_o) + p.b_o
+    q = linear(q_in, p.w_q, p.b_q)
+    k = linear(kv_in, p.w_k, p.b_k)
+    v = linear(kv_in, p.w_v, p.b_v)
+    return linear(attention(q, k, v, heads, key_mask), p.w_o, p.b_o)
 
 
 def self_attend(x: Tensor, p: AttentionParams, heads: int, key_mask=None) -> Tensor:
@@ -204,7 +181,7 @@ def cross_attend(x: Tensor, other: Tensor, p: AttentionParams, heads: int, key_m
 
 def ffn_block(x: Tensor, p: FfnParams) -> Tensor:
     normed = layer_norm(x, p.ln.gain, p.ln.bias)
-    return x + matmul(relu(matmul(normed, p.w_in) + p.b_in), p.w_out) + p.b_out
+    return x + linear(relu(linear(normed, p.w_in, p.b_in)), p.w_out, p.b_out)
 
 
 def fusion_stack(
@@ -262,6 +239,6 @@ def classify_single(z: Tensor, p: ClassifierParams, row) -> Tensor:
 
 
 def _head(x: Tensor, p: ClassifierParams, lead: tuple[int, ...]) -> Tensor:
-    hidden = relu(matmul(x, p.w_hidden) + p.b_hidden)  # x: [... x 1 x d_in]
-    logits = matmul(hidden, p.w_out) + p.b_out
+    hidden = relu(linear(x, p.w_hidden, p.b_hidden))  # x: [... x 1 x d_in]
+    logits = linear(hidden, p.w_out, p.b_out)
     return reshape(logits, lead + logits.shape[-1:])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, concat, matmul, reduce_mean, relu, sigmoid
+from .tensor import Tensor, concat, linear, reduce_mean, relu, sigmoid
 
 __all__ = ["GATE_LEVELS", "GateParams", "init_gate_params", "compute_gate", "utde_embed"]
 
@@ -54,8 +54,8 @@ def compute_gate(e_imp: Tensor, e_attn: Tensor, params: GateParams) -> Tensor:
         x = joint
     else:
         raise ValueError(f"unknown gate level {params.level!r}")
-    hidden = relu(matmul(x, params.w_hidden) + params.b_hidden)
-    return sigmoid(matmul(hidden, params.w_out) + params.b_out)
+    hidden = relu(linear(x, params.w_hidden, params.b_hidden))
+    return sigmoid(linear(hidden, params.w_out, params.b_out))
 
 
 def utde_embed(e_imp: Tensor, e_attn: Tensor, g: Tensor) -> Tensor:

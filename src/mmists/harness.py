@@ -29,6 +29,7 @@ from .model import (
     collate,
     forward,
     init_model,
+    model_skeleton,
     prepare_episode,
 )
 from .mtand import mtand_ts
@@ -52,11 +53,14 @@ __all__ = [
 
 _SHUFFLE_TAG = 3001  # keeps the shuffle stream disjoint from init/generator streams
 
-# Episodes per tape, in training and scoring. It is set by peak memory: a
-# tape holds about 3.5 MB of activations per episode at the default
-# architecture. At 4, a training run's peak RSS stays below that of one tape
-# per episode; 8 already exceeds it, for about 10% more speed.
-GROUP_SIZE = 4
+# Episodes per tape, in training and scoring: the largest power of two whose
+# training peak RSS stays at or below that of the previous release (groups of
+# 4 with unfused ops). At the default architecture a group of 8 holds about
+# 15 MB of tape activations, 1.9 MB per episode (unfused ops held 2.7 MB).
+# Fused benchmark training run, 25 s, seeds 105-107, 1 BLAS thread: peak RSS
+# 94.7-94.9 MB at 8 and 111.1-111.4 MB at 16, against 99.3-99.5 MB for the
+# previous release.
+GROUP_SIZE = 8
 
 
 class NumericalError(RuntimeError):
@@ -77,7 +81,7 @@ class Checkpoint:
     metric_value: float
 
     def build_params(self) -> ModelParams:
-        params = init_model(self.config)
+        params = model_skeleton(self.config)
         load_arrays(params, self.arrays)
         return params
 
@@ -233,16 +237,13 @@ def train(
                 with Tape() as tape:
                     logits = forward(episodes, params, config)
                     loss = bce_with_logits(logits, episodes.labels, config.pos_weight)
-                    tape.backward(loss * share)
+                    tape.backward(loss * share, into={flat[name]: g for name, g in grads.items()})
                 batch_loss += loss.item() * share
                 for name, t in flat.items():
-                    g = tape.grad_or_none(t)
-                    if g is None:
-                        continue
-                    if name in grads:
-                        grads[name] += g
-                    else:
-                        grads[name] = g
+                    if name not in grads:
+                        g = tape.grad_or_none(t)
+                        if g is not None:
+                            grads[name] = g
             if not np.isfinite(batch_loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index} (lr={config.lr})"

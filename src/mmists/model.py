@@ -42,7 +42,7 @@ from .mtand import (
     mtand_txt,
     pad_series,
 )
-from .tensor import Tensor, concat, layer_norm, matmul, reshape
+from .tensor import Tensor, concat, layer_norm, linear, reshape
 
 __all__ = [
     "ConfigError",
@@ -233,35 +233,53 @@ def _component_rng(seed: int, component: str) -> np.random.Generator:
 
 
 def init_model(config: RunConfig) -> ModelParams:
-    c = config.validate()
-    bank = init_time2vec_bank(_component_rng(c.seed, "bank"), c.time_heads, c.d_timeembed)
-    conv_rng = _component_rng(c.seed, "conv")
+    return _build_model(config.validate(), lambda component: _component_rng(config.seed, component))
+
+
+class _NoDraws:
+    """Stands in for a generator when every value will be overwritten: it
+    returns zeros of the requested size and draws no random numbers."""
+
+    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
+        return np.zeros(size)
+
+    uniform = normal
+
+
+def model_skeleton(config: RunConfig) -> ModelParams:
+    """The parameter structure of ``init_model(config)`` with placeholder
+    values, for callers that fill in every value themselves."""
+    return _build_model(config.validate(), lambda _component: _NoDraws())
+
+
+def _build_model(c: RunConfig, rng_for) -> ModelParams:
+    bank = init_time2vec_bank(rng_for("bank"), c.time_heads, c.d_timeembed)
     kernel = Tensor(
-        conv_rng.normal(0.0, (c.conv_kernel * c.n_features) ** -0.5, size=(c.conv_kernel, c.n_features, c.d_hidden))
+        rng_for("conv").normal(0.0, (c.conv_kernel * c.n_features) ** -0.5, size=(c.conv_kernel, c.n_features, c.d_hidden))
     )
-    note_rng = _component_rng(c.seed, "note_proj")
-    fusion_rng = _component_rng(c.seed, "fusion")
-    ts_rng = _component_rng(c.seed, "ts_stack")
-    txt_rng = _component_rng(c.seed, "txt_stack")
+    note_rng = rng_for("note_proj")
+    fusion_rng = rng_for("fusion")
+    ts_rng = rng_for("ts_stack")
+    txt_rng = rng_for("txt_stack")
     return ModelParams(
         bank=bank,
         conv_kernel=kernel,
         conv_bias=Tensor(np.zeros(c.d_hidden)),
-        ts_interp=init_mtand_params(_component_rng(c.seed, "ts_interp"), bank, c.n_features, c.d_hidden),
-        txt_interp=init_mtand_params(_component_rng(c.seed, "txt_interp"), bank, c.text_dim, c.d_hidden),
-        gate=init_gate_params(_component_rng(c.seed, "gate"), c.gate_level, c.d_hidden),
+        ts_interp=init_mtand_params(rng_for("ts_interp"), bank, c.n_features, c.d_hidden),
+        txt_interp=init_mtand_params(rng_for("txt_interp"), bank, c.text_dim, c.d_hidden),
+        gate=init_gate_params(rng_for("gate"), c.gate_level, c.d_hidden),
         note_proj_w=Tensor(note_rng.normal(0.0, c.text_dim**-0.5, size=(c.text_dim, c.d_hidden))),
         note_proj_b=Tensor(np.zeros(c.d_hidden)),
         fusion_layers=[init_fusion_layer(fusion_rng, c.d_hidden) for _ in range(c.fusion_layers)],
         fused_ln_ts=init_layer_norm(c.d_hidden),
         fused_ln_txt=init_layer_norm(c.d_hidden),
-        fused_head=init_classifier(_component_rng(c.seed, "fused_head"), 2 * c.d_hidden, c.d_hidden, c.n_classes),
+        fused_head=init_classifier(rng_for("fused_head"), 2 * c.d_hidden, c.d_hidden, c.n_classes),
         ts_stack=[init_single_layer(ts_rng, c.d_hidden) for _ in range(c.fusion_layers)],
         ts_ln=init_layer_norm(c.d_hidden),
-        ts_head=init_classifier(_component_rng(c.seed, "ts_head"), c.d_hidden, c.d_hidden, c.n_classes),
+        ts_head=init_classifier(rng_for("ts_head"), c.d_hidden, c.d_hidden, c.n_classes),
         txt_stack=[init_single_layer(txt_rng, c.d_hidden) for _ in range(c.fusion_layers)],
         txt_ln=init_layer_norm(c.d_hidden),
-        txt_head=init_classifier(_component_rng(c.seed, "txt_head"), c.d_hidden, c.d_hidden, c.n_classes),
+        txt_head=init_classifier(rng_for("txt_head"), c.d_hidden, c.d_hidden, c.n_classes),
     )
 
 
@@ -398,7 +416,7 @@ def _txt_stream(
     g, n = batch.note_mask.shape
     if n > config.alpha:
         raise DataError(f"{n} notes exceed the {config.alpha}-row grid in padded-note mode")
-    proj = matmul(Tensor(batch.note_embs), params.note_proj_w) + params.note_proj_b
+    proj = linear(batch.note_embs, params.note_proj_w, params.note_proj_b)
     if n < config.alpha:
         proj = concat([proj, Tensor(np.zeros((g, config.alpha - n, config.d_hidden)))], axis=1)
     counts = batch.note_mask.sum(axis=1)

@@ -17,6 +17,8 @@ from .imputation import ReferenceGrid
 from .tensor import (
     Tensor,
     concat,
+    expand_masked,
+    linear,
     masked_softmax,
     matmul,
     narrow,
@@ -24,6 +26,7 @@ from .tensor import (
     reshape,
     sin,
     swapaxes,
+    time_embedding,
     transpose,
 )
 
@@ -146,22 +149,14 @@ def time2vec(times: np.ndarray, params: Time2VecParams) -> Tensor:
     t_col = np.asarray(times, dtype=np.float64).reshape(-1, 1)
     theta = params.omega * t_col + params.phi  # [n x d_v] by broadcast
     d_v = params.omega.shape[0]
-    linear = narrow(theta, 1, 0, 1)
+    linear_part = narrow(theta, 1, 0, 1)
     periodic = sin(narrow(theta, 1, 1, d_v - 1))
-    return concat([linear, periodic], axis=1)
+    return concat([linear_part, periodic], axis=1)
 
 
 def time2vec_heads(times: np.ndarray, bank: Time2VecBank) -> Tensor:
     """All V heads at once: [V x n x d_v]."""
-    n = np.asarray(times).size
-    t_mid = np.asarray(times, dtype=np.float64).reshape(1, n, 1)
-    v, d_v = bank.n_heads, bank.d_v
-    omega = reshape(bank.omega, (v, 1, d_v))
-    phi = reshape(bank.phi, (v, 1, d_v))
-    theta = omega * t_mid + phi  # [V x n x d_v]
-    linear = narrow(theta, 2, 0, 1)
-    periodic = sin(narrow(theta, 2, 1, d_v - 1))
-    return concat([linear, periodic], axis=2)
+    return time_embedding(times, bank.omega, bank.phi)
 
 
 def time_attention(
@@ -197,17 +192,19 @@ def _attention_weights(
     """Every head's attention of every grid point over every key: [V x alpha x *key_times.shape].
 
     The softmax runs over the last key axis; masked keys get weight 0 and a
-    row with no valid key comes back all zero. All keys share one
-    time-embedding and one score product. Scores (e_q W_q)(e_k W_k)^T are
+    row with no valid key comes back all zero. Only the valid keys are
+    time-embedded and scored, in one product. Scores (e_q W_q)(e_k W_k)^T are
     taken as ((e_q W_q) W_k^T) e_k^T, so the key projection is applied once
     to the alpha grid queries instead of to every key.
     """
     v, d_v = params.bank.n_heads, params.bank.d_v
+    if not key_mask.any():
+        return Tensor(np.zeros((v, grid.n_points) + key_times.shape))
     q = matmul(time2vec_heads(grid.points, params.bank), params.w_query)  # [V x alpha x d_v]
-    qk = matmul(q, swapaxes(params.w_key, 1, 2))
-    keys = time2vec_heads(key_times.reshape(-1), params.bank)  # [V x n x d_v]
-    scores = matmul(qk, swapaxes(keys, 1, 2)) * (d_v**-0.5)  # [V x alpha x n]
-    weights, _ = masked_softmax(reshape(scores, (v, grid.n_points) + key_times.shape), key_mask)
+    qk = matmul(q, swapaxes(params.w_key, 1, 2)) * (d_v**-0.5)
+    keys = time2vec_heads(key_times[key_mask], params.bank)  # [V x n_valid x d_v]
+    scores = expand_masked(matmul(qk, swapaxes(keys, 1, 2)), key_mask)
+    weights, _ = masked_softmax(scores, key_mask)
     return weights
 
 
@@ -216,7 +213,7 @@ def _project_heads(mixed: Tensor, params: MtandParams) -> Tensor:
     v, alpha, *lead, c = mixed.shape
     n = len(lead)
     rows = transpose(mixed, (*range(2, 2 + n), 1, 0, 2 + n))  # [... x alpha x V x c]
-    return matmul(reshape(rows, (*lead, alpha, v * c)), params.w_out) + params.b_out
+    return linear(reshape(rows, (*lead, alpha, v * c)), params.w_out, params.b_out)
 
 
 def mtand_ts(

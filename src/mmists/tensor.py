@@ -22,6 +22,9 @@ __all__ = [
     "adam_init",
     "adam_step",
     "matmul",
+    "linear",
+    "attention",
+    "time_embedding",
     "add",
     "sub",
     "mul",
@@ -37,6 +40,7 @@ __all__ = [
     "swapaxes",
     "transpose",
     "gather_rows",
+    "expand_masked",
     "layer_norm",
     "softmax",
     "masked_softmax",
@@ -176,13 +180,17 @@ class Tape:
         out._node = len(self.nodes)
         self.nodes.append(_Node(op, ids, backward))
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor, into: dict[Tensor, np.ndarray] | None = None) -> None:
         """Populate ``gradients`` for every leaf contributing to ``loss``.
 
         The sweep frees as it goes: once a node's gradient has been passed on
         to its inputs, the gradient and the node's saved backward closure
         (and with it the activations the closure holds) are dropped. Only
         leaf gradients stay readable, and a tape can be swept only once.
+
+        ``into`` maps leaves to arrays of their shape that their gradients
+        are added to in place; ``grad`` then returns those arrays. It lets a
+        caller sum gradients over several tapes without a second buffer.
         """
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -193,6 +201,9 @@ class Tape:
         self._swept = True
         self.gradients = {loss._node: np.ones_like(loss.data)}
         grads = self.gradients
+        for leaf, acc in (into or {}).items():
+            if leaf._tape is self and leaf._node is not None:
+                grads[leaf._node] = acc
         nodes = self.nodes
         for node_id in range(loss._node, -1, -1):
             node = nodes[node_id]
@@ -203,14 +214,19 @@ class Tape:
             if g is None:
                 continue
             input_grads = node.backward(g)
+            g_free = True  # g is dead after this node, so one input may take it over
             for in_id, ig in zip(node.input_ids, input_grads):
                 if ig is None:
                     continue
                 acc = grads.get(in_id)
-                if acc is None:
-                    grads[in_id] = ig.copy() if ig.base is not None or ig is g else ig
-                else:
+                if acc is not None:
                     acc += ig
+                elif ig is g and g_free:
+                    grads[in_id] = g
+                    g_free = False
+                else:
+                    # a view may alias a saved activation, and g may be taken
+                    grads[in_id] = ig.copy() if ig.base is not None or ig is g else ig
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient of the last backward() loss w.r.t. ``t`` (zeros if unused)."""
@@ -226,6 +242,8 @@ class Tape:
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -297,6 +315,35 @@ def sin(x: Tensor) -> Tensor:
     return _unary(x, np.sin(xd), lambda g: (g * np.cos(xd),), "sin")
 
 
+def time_embedding(times, omega: Tensor, phi: Tensor) -> Tensor:
+    """Time2Vec of n times under V heads at once: [V x n x d_v] for omega and
+    phi [V x d_v]. Column 0 is omega[:, 0] * t + phi[:, 0] (linear); column
+    i >= 1 is sin(omega[:, i] * t + phi[:, i]). Backward recomputes the
+    angles from the times instead of keeping them."""
+    od, pd = omega.data, phi.data
+    if od.ndim != 2 or pd.shape != od.shape:
+        raise ShapeError(f"omega and phi must both be [V x d_v], got {od.shape} and {pd.shape}")
+    t = np.asarray(times, dtype=np.float64).reshape(1, -1, 1)
+    theta = od[:, None, :] * t + pd[:, None, :]
+    np.sin(theta[..., 1:], out=theta[..., 1:])
+    out = Tensor(theta)
+    tape = _active_tape()
+    if tape is not None:
+        od, pd = od.copy(), pd.copy()
+
+        def backward(g: np.ndarray):
+            slope = od[:, None, :] * t + pd[:, None, :]
+            np.cos(slope[..., 1:], out=slope[..., 1:])
+            slope[..., 0] = 1.0
+            slope *= g  # d loss / d angle
+            g_phi = slope.sum(axis=1)
+            slope *= t
+            return slope.sum(axis=1), g_phi
+
+        tape.record(out, (omega, phi), backward, "time_embedding")
+    return out
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # piecewise form avoids overflow in exp for large |x|
     out = np.empty_like(x)
@@ -313,17 +360,12 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    xd = x.data
-    active = xd > 0.0
-    return _unary(x, np.maximum(xd, 0.0), lambda g: (g * active,), "relu")
+    out = np.maximum(x.data, 0.0)  # backward reads the output, which the next op usually keeps anyway
+    return _unary(x, out, lambda g: (g * (out > 0.0),), "relu")
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast.
-
-    A 2-D right operand (a weight) is applied to all leading rows of the
-    left operand as one [rows x k] @ [k x n] product, forward and backward.
-    """
+    """Matrix product over the last two axes; leading axes broadcast."""
     a_t = isinstance(a, Tensor)
     b_t = isinstance(b, Tensor)
     av = a.data if a_t else _as_const(a)
@@ -332,25 +374,13 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {av.shape} x {bv.shape}")
-    fold = bv.ndim == 2 and av.ndim > 2
-    if fold:
-        out_shape = av.shape[:-1] + bv.shape[-1:]
-        out = Tensor((av.reshape(-1, av.shape[-1]) @ bv).reshape(out_shape))
-    else:
-        out = Tensor(av @ bv)
+    out = Tensor(av @ bv)
     tape = _active_tape()
     if tape is not None and (a_t or b_t):
         inputs = tuple(t for t, is_t in ((a, a_t), (b, b_t)) if is_t)
 
         def backward(g: np.ndarray):
             grads = []
-            if fold:
-                g2 = g.reshape(-1, g.shape[-1])
-                if a_t:
-                    grads.append((g2 @ bv.T).reshape(av.shape))
-                if b_t:
-                    grads.append(av.reshape(-1, av.shape[-1]).T @ g2)
-                return tuple(grads)
             if a_t:
                 grads.append(_reduce_to(g @ np.swapaxes(bv, -1, -2), av.shape))
             if b_t:
@@ -358,6 +388,35 @@ def matmul(a, b) -> Tensor:
             return tuple(grads)
 
         tape.record(out, inputs, backward, "matmul")
+    return out
+
+
+def linear(x, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for x [... x k], w [k x n], b [n]: all leading rows of x
+    go through one [rows x k] @ [k x n] product, forward and backward. An x
+    that is not a Tensor is a constant and gets no gradient."""
+    x_t = isinstance(x, Tensor)
+    xd = x.data if x_t else _as_const(x)
+    wd, bd = w.data, b.data
+    if wd.ndim != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[0] or bd.shape != wd.shape[1:]:
+        raise ShapeError(f"linear expects x [..,k], w [k,n], b [n]; got {xd.shape}, {wd.shape}, {bd.shape}")
+    x2 = xd.reshape(-1, wd.shape[0])
+    out2 = x2 @ wd
+    out2 += bd
+    out = Tensor(out2.reshape(xd.shape[:-1] + wd.shape[1:]))
+    tape = _active_tape()
+    if tape is not None:
+
+        def backward(g: np.ndarray):
+            g2 = g.reshape(-1, wd.shape[1])
+            grads = ()
+            if x_t:
+                gx = np.empty(xd.shape)  # a fresh array, so the tape need not copy it
+                np.matmul(g2, wd.T, out=gx.reshape(x2.shape))
+                grads = (gx,)
+            return grads + (x2.T @ g2, g2.sum(axis=0))
+
+        tape.record(out, (x, w, b) if x_t else (w, b), backward, "linear")
     return out
 
 
@@ -473,6 +532,26 @@ def gather_rows(x: Tensor, rows) -> Tensor:
     return _unary(x, np.take_along_axis(xd, idx, axis=-2), backward, "gather_rows")
 
 
+def expand_masked(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Spread the last axis of ``x`` [... x n] over the True entries of the
+    boolean ``mask`` (n of them, in row-major order): [... x *mask.shape],
+    zero where the mask is False."""
+    xd = x.data
+    m = np.asarray(mask, dtype=bool)
+    idx = np.flatnonzero(m)
+    if xd.shape[-1] != idx.size:
+        raise ShapeError(f"expand_masked: {xd.shape[-1]} values for {idx.size} mask entries")
+    lead = xd.shape[:-1]
+    out = np.zeros(lead + (m.size,))
+    out[..., idx] = xd
+    return _unary(
+        x,
+        out.reshape(lead + m.shape),
+        lambda g: (g.reshape(lead + (m.size,))[..., idx],),
+        "expand_masked",
+    )
+
+
 _LN_EPS = 1e-5
 
 
@@ -482,25 +561,51 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = xd.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    # the same operations, in the same order, as xd.mean and xd.var, but the
+    # centred values are computed once and reused for the output
+    xhat = xd - xd.sum(axis=-1, keepdims=True) / d
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (xd - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
+    out = Tensor(out_data)
     tape = _active_tape()
     if tape is not None:
         gd = gain.data
 
         def backward(g: np.ndarray):
-            lead = tuple(range(g.ndim - 1))
-            g_gain = (g * xhat).sum(axis=lead)
-            g_bias = g.sum(axis=lead)
+            g2 = g.reshape(-1, d)
+            xhat2 = xhat.reshape(-1, d)
+            g_gain = (g2 * xhat2).sum(axis=0)
+            g_bias = g2.sum(axis=0)
             gh = g * gd
-            gx = inv * (gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+            proj = (gh * xhat).sum(axis=-1, keepdims=True)
+            proj /= d
+            gx = gh - gh.sum(axis=-1, keepdims=True) / d
+            gx -= xhat * proj
+            gx *= inv
             return gx, g_gain, g_bias
 
         tape.record(out, (x, gain, bias), backward, "layer_norm")
     return out
+
+
+def _softmax_weights(sd: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Masked softmax of an array over its last axis, and the [... x 1] flag of
+    rows with at least one valid entry; a row without one comes back all zero."""
+    if mask is None:
+        e = sd - sd.max(axis=-1, keepdims=True)
+        any_valid = np.ones(e.shape[:-1] + (1,), dtype=bool)
+    else:
+        m = np.broadcast_to(np.asarray(mask, dtype=bool), sd.shape)
+        any_valid = m.any(axis=-1, keepdims=True)
+        e = np.where(m, sd, -np.inf)
+        e -= np.where(any_valid, e.max(axis=-1, keepdims=True, initial=-np.inf), 0.0)
+    np.exp(e, out=e)  # masked entries: exp(-inf) = 0
+    denom = e.sum(axis=-1, keepdims=True)
+    e /= np.where(any_valid, denom, 1.0)
+    return e, any_valid
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray | None) -> tuple[Tensor, np.ndarray]:
@@ -510,18 +615,7 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None) -> tuple[Tensor, np.
     Rows with no valid entry come back all-zero and are flagged in the
     returned boolean ``degenerate`` array (shape = row shape).
     """
-    sd = scores.data
-    if mask is None:
-        m = np.ones(sd.shape, dtype=bool)
-    else:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), sd.shape)
-    any_valid = m.any(axis=-1, keepdims=True)
-    neg = np.where(m, sd, -np.inf)
-    rowmax = np.where(any_valid, neg.max(axis=-1, keepdims=True, initial=-np.inf), 0.0)
-    e = np.exp(np.where(m, sd - rowmax, -np.inf))
-    denom = e.sum(axis=-1, keepdims=True)
-    safe = np.where(any_valid, denom, 1.0)
-    w = e / safe
+    w, any_valid = _softmax_weights(scores.data, mask)
     out = Tensor(w)
     tape = _active_tape()
     if tape is not None:
@@ -533,6 +627,58 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None) -> tuple[Tensor, np.
 
         tape.record(out, (scores,), backward, "masked_softmax")
     return out, ~any_valid[..., 0]
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, key_mask=None) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    q [... x a x d], k and v [... x l x d] share their leading axes; the width
+    d splits into ``heads`` heads of d/heads columns each. ``key_mask`` (bool,
+    broadcast to [... x l]) hides keys, and a query with no valid key gets a
+    zero output row. Backward recomputes the softmax weights from q and k
+    instead of keeping them.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    *lead, a, d = qd.shape
+    l = kd.shape[-2]
+    if kd.shape != vd.shape or kd.shape[:-2] != tuple(lead) or kd.shape[-1] != d:
+        raise ShapeError(f"attention needs q [..,a,d], k and v [..,l,d]; got {qd.shape}, {kd.shape}, {vd.shape}")
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"head count {heads} must divide width {d}")
+    dk = d // heads
+    scale = dk**-0.5
+    mask = None
+    if key_mask is not None:
+        mask = np.broadcast_to(np.asarray(key_mask, dtype=bool), (*lead, l))[..., None, None, :]
+
+    def split(x: np.ndarray, rows: int) -> np.ndarray:  # [... x rows x d] -> [... x H x rows x dk]
+        return np.swapaxes(x.reshape(*lead, rows, heads, dk), -3, -2)
+
+    def merge(x: np.ndarray, rows: int) -> np.ndarray:  # the inverse of split, as a fresh array
+        out = np.empty((*lead, rows, d))
+        split(out, rows)[...] = x
+        return out
+
+    qh, kh, vh = split(qd, a), split(kd, l), split(vd, l)
+
+    def weights() -> np.ndarray:  # [... x H x a x l]
+        return _softmax_weights(qh @ np.swapaxes(kh, -1, -2) * scale, mask)[0]
+
+    out = Tensor(merge(weights() @ vh, a))
+    tape = _active_tape()
+    if tape is not None:
+
+        def backward(g: np.ndarray):
+            w = weights()
+            gh = split(g, a)
+            g_v = np.swapaxes(w, -1, -2) @ gh
+            g_w = gh @ np.swapaxes(vh, -1, -2)
+            g_s = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
+            g_s *= scale
+            return merge(g_s @ kh, a), merge(np.swapaxes(g_s, -1, -2) @ qh, l), merge(g_v, l)
+
+        tape.record(out, (q, k, v), backward, "attention")
+    return out
 
 
 def softmax(scores: Tensor) -> Tensor:
@@ -614,11 +760,9 @@ class AdamState:
 
 
 def adam_init(params: dict[str, Tensor], lr: float = 4e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    for name, p in params.items():
-        state.first_moment[name] = np.zeros_like(p.data)
-        state.second_moment[name] = np.zeros_like(p.data)
-    return state
+    """Fresh optimizer state. Moments are allocated per parameter at its first
+    gradient, so parameters that never get one cost no memory."""
+    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(
@@ -627,7 +771,11 @@ def adam_step(
     state: AdamState,
     skip: set[str] | None = None,
 ) -> tuple[dict[str, Tensor], AdamState]:
-    """One bias-corrected Adam update, in place; missing grads count as zero."""
+    """One bias-corrected Adam update, in place; missing grads count as zero.
+
+    A parameter that has never had a gradient has zero moments, so its update
+    is exactly zero: it is skipped and gets no moment arrays.
+    """
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1**t
@@ -636,9 +784,14 @@ def adam_step(
         if skip is not None and name in skip:
             continue
         g = grads.get(name)
+        m = state.first_moment.get(name)
+        if m is None:
+            if g is None:
+                continue
+            m = state.first_moment[name] = np.zeros_like(p.data)
+            state.second_moment[name] = np.zeros_like(p.data)
         if g is None:
             g = np.zeros_like(p.data)
-        m = state.first_moment[name]
         v = state.second_moment[name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g

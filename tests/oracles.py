@@ -58,7 +58,9 @@ def multihead_attention_oracle(
     heads: int,
     key_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-head scaled dot-product attention evaluated head by head."""
+    """Per-head scaled dot-product attention evaluated head by head. With a
+    key_mask that hides every key, the weights are zero, so each head's merged
+    output is zero."""
     a, d = q_in.shape
     dk = d // heads
     q = q_in @ w_q + b_q
@@ -69,6 +71,8 @@ def multihead_attention_oracle(
         sl = slice(h * dk, (h + 1) * dk)
         scores = q[:, sl] @ k[:, sl].T / np.sqrt(dk)
         if key_mask is not None:
+            if not key_mask.any():
+                continue
             scores = np.where(key_mask[None, :], scores, -np.inf)
         w = softmax_rows(scores)
         merged[:, sl] = w @ v[:, sl]

@@ -44,11 +44,13 @@ from mmists.mtand import (
 from mmists.tensor import (
     Tape,
     Tensor,
+    attention,
     bce_with_logits,
     causal_conv1d,
     concat,
     finite_difference_gradients,
     layer_norm,
+    linear,
     masked_softmax,
     matmul,
     narrow,
@@ -62,6 +64,7 @@ from mmists.tensor import (
     sin,
     softmax,
     swapaxes,
+    time_embedding,
 )
 import conftest
 from oracles import (
@@ -230,6 +233,30 @@ def _grad_suite_ops(rng: np.random.Generator) -> float:
     check(
         {"sig": sig, "ker": ker, "cb": cb, "out_w": out_w},
         lambda: reduce_sum(causal_conv1d(sig, ker, cb) * out_w),
+    )
+    lin_x = Tensor(rng.normal(size=(2, 3, 4)))
+    lin_w = Tensor(rng.normal(size=(4, 5)))
+    lin_b = Tensor(rng.normal(size=(5,)))
+    check(
+        {"lin_x": lin_x, "lin_w": lin_w, "lin_b": lin_b},
+        lambda: reduce_sum(sin(linear(lin_x, lin_w, lin_b))),
+    )
+    att_q = Tensor(rng.normal(size=(2, 3, 4)))
+    att_k = Tensor(rng.normal(size=(2, 5, 4)))
+    att_v = Tensor(rng.normal(size=(2, 5, 4)))
+    key_mask = np.array([[True, False, True, True, False], [False] * 5])  # member 1: no valid key
+    att_w = rng.normal(size=(2, 3, 4))
+    check(
+        {"att_q": att_q, "att_k": att_k, "att_v": att_v},
+        lambda: reduce_sum(sin(attention(att_q, att_k, att_v, 2, key_mask)) * att_w),
+    )
+    omega = Tensor(rng.normal(size=(2, 4)) * 3.0)
+    phi = Tensor(rng.normal(size=(2, 4)))
+    times = rng.random(5)
+    emb_w = rng.normal(size=(2, 5, 4))
+    check(
+        {"omega": omega, "phi": phi},
+        lambda: reduce_sum(time_embedding(times, omega, phi) * emb_w),
     )
     logits = Tensor(rng.normal(size=(4,)))
     targets = np.array([1.0, 0.0, 1.0, 0.0])

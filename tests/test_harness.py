@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mmists import harness
+from mmists import harness, model
 from mmists.data import DataError, GenConfig, generate_synthetic, normalize
 from mmists.harness import (
     Checkpoint,
@@ -211,6 +211,22 @@ def test_checkpoint_save_load_round_trip(tmp_path, splits):
     before = evaluate(ckpt, te)
     after = evaluate(loaded, te)
     assert (before.f1, before.aupr, before.auroc) == (after.f1, after.aupr, after.auroc)
+
+
+def test_build_params_fills_the_checkpoint_without_a_random_init(splits, monkeypatch):
+    tr, va, _ = splits
+    ckpt = train(small_config(modality="fused", epochs=1), tr, va)
+
+    def no_draws(*args):
+        raise AssertionError("build_params drew a random initialization")
+
+    monkeypatch.setattr(model, "_component_rng", no_draws)
+    params = ckpt.build_params()
+    flat = params.flat()
+    assert flat.keys() == ckpt.arrays.keys()
+    for name, t in flat.items():
+        np.testing.assert_array_equal(t.data, ckpt.arrays[name])
+    assert params.ts_interp.bank is params.txt_interp.bank
 
 
 def test_corrupt_checkpoint_raises_data_error(tmp_path):

@@ -156,6 +156,13 @@ class TestPrepare:
         with pytest.raises(DataError):
             prepare_episode(bad, cfg, stats)
 
+    def test_note_free_episode_rejected(self, prepared):
+        _, cfg, stats = prepared
+        eps = generate_synthetic(GenConfig(n_episodes=1, n_features=3, text_dim=8, seed=18))
+        neps, _ = normalize(eps, stats=stats)
+        with pytest.raises(DataError, match="no notes"):
+            prepare_episode(dataclasses.replace(neps[0], notes=()), cfg, stats)
+
     def test_stats_width_mismatch_rejected(self, prepared):
         preps, cfg, stats = prepared
         eps = generate_synthetic(GenConfig(n_episodes=1, n_features=3, text_dim=8, seed=18))

@@ -175,6 +175,18 @@ class TestMtandTs:
         assert_allclose(out, out2, atol=1e-12)
         params.w_out.data[:] = w
 
+    def test_episode_without_observations_gives_the_output_bias(self):
+        rng = np.random.default_rng(47)
+        bank = init_time2vec_bank(rng, 2, 4)
+        params = init_mtand_params(rng, bank, d_in=2, d_h=3)
+        params.b_out.data[:] = rng.normal(size=3)
+        empty = [(np.array([]), np.array([]))] * 2
+        with Tape() as tape:
+            out = mtand_ts(empty, ReferenceGrid(3), params)
+            tape.backward(reduce_sum(out))
+        assert_allclose(out.data, np.broadcast_to(params.b_out.data, (3, 3)), atol=1e-15)
+        assert tape.grad_or_none(bank.omega) is None  # no key was embedded
+
     def test_shape_contract(self):
         rng = np.random.default_rng(41)
         bank = init_time2vec_bank(rng, 8, 6)

@@ -12,12 +12,15 @@ from mmists.tensor import (
     Tensor,
     adam_init,
     adam_step,
+    attention,
     bce_with_logits,
     causal_conv1d,
     concat,
+    expand_masked,
     finite_difference_gradients,
     gather_rows,
     layer_norm,
+    linear,
     masked_softmax,
     matmul,
     narrow,
@@ -30,8 +33,10 @@ from mmists.tensor import (
     sin,
     softmax,
     swapaxes,
+    time_embedding,
     transpose,
 )
+from oracles import layer_norm_oracle
 
 
 def check_grads(build_loss, params: dict, tol: float = 1e-4, step: float = 1e-5):
@@ -209,16 +214,83 @@ class TestBackward:
         b = Tensor(rng.normal(size=(4, 2)))
         check_grads(lambda: reduce_sum(matmul(a, b) * 0.3), {"a": a, "b": b})
 
-    def test_matmul_folds_leading_rows_into_one_product(self):
+    def test_linear_folds_leading_rows_into_one_product(self):
         rng = np.random.default_rng(14)
         a = Tensor(rng.normal(size=(2, 3, 4)))
         b = Tensor(rng.normal(size=(4, 2)))
+        bias = Tensor(rng.normal(size=2))
         w = rng.normal(size=(2, 3, 2))
         with Tape() as tape:
-            tape.backward(reduce_sum(matmul(a, b) * w))
+            out = linear(a, b, bias)
+            tape.backward(reduce_sum(out * w))
         # the same product spelled as an explicit per-matrix loop
+        assert_allclose(out.data, np.stack([a.data[i] @ b.data + bias.data for i in range(2)]), rtol=1e-13)
         assert_allclose(tape.grad(b), sum(a.data[i].T @ w[i] for i in range(2)), rtol=1e-13)
         assert_allclose(tape.grad(a), w @ b.data.T, rtol=1e-13)
+        assert_allclose(tape.grad(bias), w.sum(axis=(0, 1)), rtol=1e-13)
+
+    def test_linear_grads_and_constant_input(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        w = Tensor(rng.normal(size=(4, 5)))
+        b = Tensor(rng.normal(size=5))
+        check_grads(lambda: reduce_sum(sin(linear(x, w, b))), {"x": x, "w": w, "b": b})
+        const = rng.normal(size=(3, 4))
+        check_grads(lambda: reduce_sum(sin(linear(const, w, b))), {"w": w, "b": b})
+        with Tape() as tape:
+            out = linear(const, w, b)
+        assert len(tape.nodes) == 3  # the weight, the bias and the op; no node for the constant
+        with pytest.raises(ShapeError):
+            linear(x, Tensor(np.ones((5, 4))), b)
+
+    def test_attention_grads_with_mask_and_keyless_member(self):
+        rng = np.random.default_rng(23)
+        q = Tensor(rng.normal(size=(2, 3, 4)))
+        k = Tensor(rng.normal(size=(2, 5, 4)))
+        v = Tensor(rng.normal(size=(2, 5, 4)))
+        mask = np.array([[True, False, True, True, False], [False] * 5])
+        w = rng.normal(size=(2, 3, 4))
+        check_grads(lambda: reduce_sum(sin(attention(q, k, v, 2, mask)) * w), {"q": q, "k": k, "v": v})
+        out = attention(q, k, v, 2, mask).data
+        assert_allclose(out[1], 0.0)  # a member with no valid key gets zero rows
+        check_grads(lambda: reduce_sum(sin(attention(q, k, v, 4)) * w), {"q": q, "k": k, "v": v})
+
+    def test_attention_shape_errors(self):
+        x = Tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeError):
+            attention(x, x, x, 3)
+        with pytest.raises(ShapeError):
+            attention(x, Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), 2)
+
+    def test_time_embedding_matches_per_head_loop(self):
+        rng = np.random.default_rng(24)
+        omega = rng.normal(size=(3, 5))
+        phi = rng.normal(size=(3, 5))
+        times = rng.random(4)
+        got = time_embedding(times, Tensor(omega), Tensor(phi)).data
+        for v in range(3):
+            want = times[:, None] * omega[v] + phi[v]
+            want[:, 1:] = np.sin(want[:, 1:])
+            assert_allclose(got[v], want, rtol=1e-13, atol=1e-15)
+
+    def test_time_embedding_grads(self):
+        rng = np.random.default_rng(25)
+        omega = Tensor(rng.normal(size=(2, 4)) * 3.0)
+        phi = Tensor(rng.normal(size=(2, 4)))
+        times = rng.random(5)
+        w = rng.normal(size=(2, 5, 4))
+        check_grads(lambda: reduce_sum(time_embedding(times, omega, phi) * w), {"omega": omega, "phi": phi})
+
+    def test_expand_masked_places_values_and_routes_grads(self):
+        rng = np.random.default_rng(26)
+        mask = np.array([[True, False, True], [False, False, True]])
+        x = Tensor(rng.normal(size=(2, 3)))
+        out = expand_masked(x, mask).data
+        assert out.shape == (2, 2, 3)
+        assert_allclose(out[:, mask], x.data)
+        assert_allclose(out[:, ~mask], 0.0)
+        w = rng.normal(size=(2, 2, 3))
+        check_grads(lambda: reduce_sum(sin(expand_masked(x, mask)) * w), {"x": x})
 
     def test_transpose_and_gather_rows(self):
         rng = np.random.default_rng(15)
@@ -265,6 +337,16 @@ class TestBackward:
             return reduce_sum(joined * joined)
 
         check_grads(loss, {"x": x, "y": y})
+
+    def test_layer_norm_forward_matches_mean_var_formula(self):
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(2, 5, 7)) * 3.0 + 1.0
+        gain, bias = rng.normal(size=7), rng.normal(size=7)
+        got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        # the straightforward evaluation, bit for bit
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        np.testing.assert_array_equal(got, (x - x.mean(axis=-1, keepdims=True)) * inv * gain + bias)
+        assert_allclose(got, layer_norm_oracle(x, gain, bias), rtol=1e-12, atol=1e-12)
 
     def test_layer_norm_grads(self):
         rng = np.random.default_rng(16)
@@ -322,6 +404,26 @@ class TestBackward:
             y = reduce_sum(x * x + x)
             tape.backward(y)
         assert_allclose(tape.grad(x), 2 * x.data + 1)
+
+    def test_add_hands_each_input_its_own_gradient_buffer(self):
+        a = Tensor(np.array([1.0, 2.0]))
+        b = Tensor(np.array([5.0, 7.0]))
+        w = np.array([0.5, -2.0])
+        with Tape() as tape:
+            tripled = a * 3.0  # swept after the add below, so it accumulates into a's buffer
+            tape.backward(reduce_sum((a + b) * w + tripled))
+        assert_allclose(tape.grad(a), w + 3.0)
+        assert_allclose(tape.grad(b), w)
+
+    def test_backward_adds_into_given_arrays(self):
+        x = Tensor(np.array([1.0, 2.0]))
+        w = Tensor(np.array([3.0]))
+        acc = np.array([10.0, 20.0])
+        with Tape() as tape:
+            tape.backward(reduce_sum(x * w * 2.0), into={x: acc})
+        assert tape.grad(x) is acc
+        assert_allclose(acc, [16.0, 26.0])
+        assert_allclose(tape.grad(w), [6.0])
 
     def test_unused_parameter_gets_zero_gradient(self):
         x = Tensor(np.array([1.0, 2.0]))
@@ -422,6 +524,37 @@ class TestAdam:
         state = adam_init(p)
         adam_step(p, {"w": np.array([1.0])}, state)
         assert_allclose(p["u"].data, 1.0)
+
+    def test_lazy_moments_match_eager_reference(self):
+        """Moments appear at a parameter's first gradient; the parameters after
+        N steps equal an update that holds zero moments for every parameter."""
+        rng = np.random.default_rng(28)
+        init = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5), "never": rng.normal(size=(2, 2))}
+        steps = [
+            {"a": rng.normal(size=(3, 4)), **({"b": rng.normal(size=5)} if i in (1, 2) else {})}
+            for i in range(6)
+        ]  # "b" first gets a gradient at step 2, then has none from step 4 and keeps decaying
+
+        ref = {k: v.copy() for k, v in init.items()}
+        m = {k: np.zeros_like(v) for k, v in init.items()}
+        v2 = {k: np.zeros_like(v) for k, v in init.items()}
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        for t, grads in enumerate(steps, start=1):
+            for k in ref:
+                g = grads.get(k, np.zeros_like(ref[k]))
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v2[k] = b2 * v2[k] + (1.0 - b2) * (g * g)
+                ref[k] = ref[k] - lr * (m[k] / (1.0 - b1**t)) / (np.sqrt(v2[k] / (1.0 - b2**t)) + eps)
+
+        params = {k: Tensor(v.copy()) for k, v in init.items()}
+        state = adam_init(params, lr=lr)
+        assert state.first_moment == {} and state.second_moment == {}
+        for grads in steps:
+            adam_step(params, grads, state)
+        for k in init:
+            np.testing.assert_array_equal(params[k].data, ref[k])
+        assert sorted(state.first_moment) == sorted(state.second_moment) == ["a", "b"]
+        np.testing.assert_array_equal(params["never"].data, init["never"])
 
     def test_skip_set_freezes_parameters(self):
         p = {"w": Tensor(np.array([1.0]))}
