@@ -7,6 +7,14 @@ masks and classifier rows follow the same leading axes.
 
 The stack itself is residual-pure (zeroing every sublayer's output projection
 makes it the identity); the model applies a final layer norm separately.
+
+Given the rows the classifier reads, a stack computes its last layer only for
+them: the self-attentions still run on every row, because they are the other
+stream's keys and values (or, in a single stack, the keys and values of the
+last self-attention), but the queries, output projections, residuals and FFNs
+after them act on one row per stream, and the stack returns [... x 1 x d].
+Every one of those steps is row by row, so the kept rows are the same
+function of the input as in the full stack.
 """
 
 from __future__ import annotations
@@ -190,15 +198,24 @@ def fusion_stack(
     layers: list[FusionLayerParams],
     heads: int,
     txt_key_mask: np.ndarray | None = None,
+    ts_row=None,
+    txt_row=None,
 ) -> tuple[Tensor, Tensor]:
-    """J interleaved layers; txt_key_mask hides padded note rows from attention."""
+    """J interleaved layers; txt_key_mask hides padded note rows from attention.
+
+    A stream given a row (an int, or one index per stream of a group) comes
+    back as that row only, [... x 1 x d]; without one it keeps every row.
+    """
     if not layers:
         raise ValueError("fusion stack needs at least one layer")
-    for layer in layers:
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
         ts_hat = self_attend(z_ts, layer.ts_self, heads)
         txt_hat = self_attend(z_txt, layer.txt_self, heads, key_mask=txt_key_mask)
-        ts_mixed = cross_attend(ts_hat, txt_hat, layer.ts_cross, heads, key_mask=txt_key_mask)
-        txt_mixed = cross_attend(txt_hat, ts_hat, layer.txt_cross, heads)
+        ts_q = ts_hat if i < last or ts_row is None else gather_rows(ts_hat, ts_row)
+        txt_q = txt_hat if i < last or txt_row is None else gather_rows(txt_hat, txt_row)
+        ts_mixed = cross_attend(ts_q, txt_hat, layer.ts_cross, heads, key_mask=txt_key_mask)
+        txt_mixed = cross_attend(txt_q, ts_hat, layer.txt_cross, heads)
         z_ts = ffn_block(ts_mixed, layer.ts_ffn)
         z_txt = ffn_block(txt_mixed, layer.txt_ffn)
     return z_ts, z_txt
@@ -209,12 +226,18 @@ def single_stack(
     layers: list[SingleLayerParams],
     heads: int,
     key_mask: np.ndarray | None = None,
+    row=None,
 ) -> Tensor:
-    """Self-attention-only backbone for single-modality models."""
+    """Self-attention-only backbone for single-modality models; given a row,
+    it returns only that row, [... x 1 x d], as fusion_stack does."""
     if not layers:
         raise ValueError("backbone needs at least one layer")
-    for layer in layers:
-        x = self_attend(x, layer.self_attn, heads, key_mask=key_mask)
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        if i < last or row is None:
+            x = self_attend(x, layer.self_attn, heads, key_mask=key_mask)
+        else:  # the same sublayer for one query row: layer norm acts row by row
+            x = cross_attend(gather_rows(x, row), x, layer.self_attn, heads, key_mask=key_mask)
         x = ffn_block(x, layer.ffn)
     return x
 

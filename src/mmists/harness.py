@@ -11,8 +11,11 @@ best validation snapshot is kept with earliest-epoch tie-breaking.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import logging
+import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +106,16 @@ def load_arrays(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
         t.data[...] = arrays[name]
 
 
+# Version 2 stores every parameter in one float64 buffer, in the order the
+# meta "index" of (name, shape) pairs lists them, next to the JSON meta: two
+# npz members instead of one per parameter tensor.
+CHECKPOINT_FORMAT = 2
+_FIXED_ZIP_TIME = (1980, 1, 1, 0, 0, 0)  # member timestamps, so equal checkpoints give equal bytes
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     meta = {
+        "format_version": CHECKPOINT_FORMAT,
         "config": dataclasses.asdict(ckpt.config),
         "stats": {
             "min": ckpt.stats.feature_min.tolist(),
@@ -115,22 +126,62 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "epoch": ckpt.epoch,
         "metric_name": ckpt.metric_name,
         "metric_value": ckpt.metric_value,
+        "index": [[name, list(value.shape)] for name, value in ckpt.arrays.items()],
     }
-    payload = {f"param/{name}": value for name, value in ckpt.arrays.items()}
-    payload["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as f:  # a file handle keeps the exact path (no .npz suffixing)
-        np.savez(f, **payload)
+    # np.savez stamps each member with the current time; an npz written with
+    # a fixed stamp loads the same way through np.load
+    with open(path, "wb") as f, zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as bundle:
+        with bundle.open(zipfile.ZipInfo("meta.npy", date_time=_FIXED_ZIP_TIME), "w") as member:
+            meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+            np.lib.format.write_array(member, meta_bytes, allow_pickle=False)
+        params = zipfile.ZipInfo("params.npy", date_time=_FIXED_ZIP_TIME)
+        with bundle.open(params, "w", force_zip64=True) as member:
+            # the buffer is streamed one parameter at a time: concatenating
+            # it first would hold a second copy of every parameter
+            size = sum(value.size for value in ckpt.arrays.values())
+            header = {"descr": "<f8", "fortran_order": False, "shape": (size,)}
+            np.lib.format.write_array_header_1_0(member, header)
+            for value in ckpt.arrays.values():
+                member.write(np.ascontiguousarray(value, dtype="<f8").data)
+
+
+def _read_params(bundle: zipfile.ZipFile, index) -> dict[str, np.ndarray]:
+    """Read the parameter buffer into one array per (name, shape) index entry;
+    one array for the whole buffer would be a second copy of every parameter
+    at its peak."""
+    shapes = [(str(name), tuple(int(n) for n in dims)) for name, dims in index]
+    if any(n < 0 for _, dims in shapes for n in dims):
+        raise ValueError("checkpoint index has a negative dimension")
+    listed = sum(math.prod(dims) for _, dims in shapes)
+    with bundle.open("params.npy") as member:
+        version = np.lib.format.read_magic(member)
+        if version != (1, 0):  # what save_checkpoint and np.savez write for a 1-d array
+            raise ValueError(f"parameter buffer has npy format {version}")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+        stored = bundle.getinfo("params.npy").file_size - member.tell()
+        if dtype != np.dtype("<f8") or fortran_order or shape != (listed,) or stored != 8 * listed:
+            raise ValueError(
+                f"parameter buffer is {dtype} {shape} in {stored} bytes; the index lists {listed} values"
+            )
+        payload = io.BufferedReader(member, buffer_size=1 << 18)  # few, large reads of the zip member
+        arrays = {}
+        for name, dims in shapes:
+            value = arrays[name] = np.empty(dims)
+            payload.readinto(memoryview(value).cast("B"))
+    return arrays
 
 
 def load_checkpoint(path) -> Checkpoint:
     try:
-        with np.load(path) as bundle:
-            meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
-            arrays = {
-                key[len("param/"):]: bundle[key]
-                for key in bundle.files
-                if key.startswith("param/")
-            }
+        with zipfile.ZipFile(path) as bundle:
+            with bundle.open("meta.npy") as member:
+                meta = json.loads(np.lib.format.read_array(member).tobytes().decode("utf-8"))
+            version = meta.get("format_version")
+            if version != CHECKPOINT_FORMAT:
+                raise ValueError(
+                    f"checkpoint format version {version}, this release reads {CHECKPOINT_FORMAT}"
+                )
+            arrays = _read_params(bundle, meta["index"])
         stats = NormalizationStats(
             feature_min=np.asarray(meta["stats"]["min"], dtype=np.float64),
             feature_max=np.asarray(meta["stats"]["max"], dtype=np.float64),
@@ -145,24 +196,27 @@ def load_checkpoint(path) -> Checkpoint:
             metric_name=str(meta["metric_name"]),
             metric_value=float(meta["metric_value"]),
         )
-    except (OSError, KeyError, TypeError, ValueError) as e:
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
         raise DataError(f"unreadable checkpoint {path}: {e}") from e
 
 
 # ------------------------------------------------------------------ scoring
 
-def _score_episodes(
-    params: ModelParams,
-    config: RunConfig,
-    stats: NormalizationStats,
-    episodes: list[Episode],
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Normalize, forward, and sigmoid every episode; one code path for
-    validation, evaluate, and predict so their numbers agree bit-for-bit."""
+def _prepare_split(
+    config: RunConfig, stats: NormalizationStats, episodes: list[Episode]
+) -> list[PreparedEpisode]:
+    """Normalize and prepare a split for scoring."""
     if not episodes:
         raise DataError("cannot score an empty episode list")
     normed, _ = normalize(episodes, stats=stats)
-    preps = [prepare_episode(ep, config, stats) for ep in normed]
+    return [prepare_episode(ep, config, stats) for ep in normed]
+
+
+def _score_prepared(
+    params: ModelParams, config: RunConfig, preps: list[PreparedEpisode]
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Forward and sigmoid every prepared episode; one code path for
+    validation, evaluate, and predict so their numbers agree bit-for-bit."""
     scores = np.empty((len(preps), config.n_classes))
     for start, group in _groups(preps):
         scores[start : start + len(group)] = _sigmoid_np(forward(collate(group), params, config).data)
@@ -210,8 +264,10 @@ def train(
     opt = adam_init(flat, lr=config.lr)
     metric_name = "f1" if config.task == "binary" else "macro_f1"
 
+    val_prepared = _prepare_split(config, stats, val_episodes)
+
     def val_metric() -> float:
-        _, scores, labels = _score_episodes(params, config, stats, val_episodes)
+        _, scores, labels = _score_prepared(params, config, val_prepared)
         return _selection_metric(scores, labels, config.task)
 
     best_value = val_metric()
@@ -281,17 +337,20 @@ def train(
 
 # ------------------------------------------------------------------ inference
 
+def _score_checkpoint(ckpt: Checkpoint, episodes: list[Episode]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    params = ckpt.build_params()
+    return _score_prepared(params, ckpt.config, _prepare_split(ckpt.config, ckpt.stats, episodes))
+
+
 def evaluate(ckpt: Checkpoint, episodes: list[Episode]) -> EvalReport:
     """Read-only forward passes over a split, reduced in input order."""
-    params = ckpt.build_params()
-    _, scores, labels = _score_episodes(params, ckpt.config, ckpt.stats, episodes)
+    _, scores, labels = _score_checkpoint(ckpt, episodes)
     return evaluate_scores(scores, labels, task=ckpt.config.task)
 
 
 def predict(ckpt: Checkpoint, episodes: list[Episode]) -> list[tuple[str, np.ndarray]]:
     """(episode id, per-class sigmoid probabilities) in input order."""
-    params = ckpt.build_params()
-    ids, scores, _ = _score_episodes(params, ckpt.config, ckpt.stats, episodes)
+    ids, scores, _ = _score_checkpoint(ckpt, episodes)
     return list(zip(ids, scores))
 
 

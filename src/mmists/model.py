@@ -432,10 +432,13 @@ def forward_fused(
 ) -> Tensor:
     z_ts = ts_embedding(batch, params, config, gate_override)
     z_txt, txt_mask, txt_row = _txt_stream(batch, params, config)
-    z_ts, z_txt = fusion_stack(z_ts, z_txt, params.fusion_layers, config.heads, txt_key_mask=txt_mask)
+    z_ts, z_txt = fusion_stack(
+        z_ts, z_txt, params.fusion_layers, config.heads,
+        txt_key_mask=txt_mask, ts_row=config.alpha - 1, txt_row=txt_row,
+    )  # [G x 1 x d_h] each: only the rows the head reads
     z_ts = layer_norm(z_ts, params.fused_ln_ts.gain, params.fused_ln_ts.bias)
     z_txt = layer_norm(z_txt, params.fused_ln_txt.gain, params.fused_ln_txt.bias)
-    return classify(z_ts, z_txt, params.fused_head, ts_row=config.alpha - 1, txt_row=txt_row)
+    return classify(z_ts, z_txt, params.fused_head, ts_row=0, txt_row=0)
 
 
 @_one_or_group
@@ -449,14 +452,14 @@ def single_modality_forward(
     """Self-attention-only backbone on one stream, classifier on its last state."""
     if modality == "ts":
         z = ts_embedding(batch, params, config, gate_override)
-        h = single_stack(z, params.ts_stack, config.heads)
+        h = single_stack(z, params.ts_stack, config.heads, row=config.alpha - 1)
         h = layer_norm(h, params.ts_ln.gain, params.ts_ln.bias)
-        return classify_single(h, params.ts_head, row=config.alpha - 1)
+        return classify_single(h, params.ts_head, row=0)
     if modality == "txt":
         z, mask, row = _txt_stream(batch, params, config)
-        h = single_stack(z, params.txt_stack, config.heads, key_mask=mask)
+        h = single_stack(z, params.txt_stack, config.heads, key_mask=mask, row=row)
         h = layer_norm(h, params.txt_ln.gain, params.txt_ln.bias)
-        return classify_single(h, params.txt_head, row=row)
+        return classify_single(h, params.txt_head, row=0)
     raise ConfigError(f"single-modality forward needs 'ts' or 'txt', got {modality!r}")
 
 

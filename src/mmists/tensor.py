@@ -4,11 +4,16 @@ The tape is define-by-run: ops executed while a ``Tape`` is active are
 recorded and can be replayed backwards to accumulate gradients. Tensors
 created outside a tape (or plain numpy arrays / floats passed to ops) are
 treated as constants. Everything is float64 and row-major.
+
+The stack of open tapes is per thread, so threads record and sweep their own
+tapes. A Tensor keeps one leaf slot, so two threads must not record the same
+Tensor at once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -55,11 +60,20 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-_TAPE_STACK: list["Tape"] = []
+class _TapeStack(threading.local):
+    """The tapes open in the calling thread, innermost last: each thread
+    records onto its own tapes only."""
+
+    def __init__(self) -> None:
+        self.tapes: list[Tape] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 def _active_tape() -> "Tape | None":
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 class Tensor:
@@ -153,11 +167,11 @@ class Tape:
         self._swept = False
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self
 
     def _ensure_leaf(self, t: Tensor) -> int:
@@ -513,7 +527,8 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 def gather_rows(x: Tensor, rows) -> Tensor:
     """Pick one row of each matrix in ``x`` [... x T x d]: ``rows`` is an int,
-    or ints shaped like the leading axes. Returns [... x 1 x d]."""
+    or ints shaped like the leading axes. Returns [... x 1 x d]; for T = 1
+    that is ``x`` itself, with no new tape node."""
     xd = x.data
     if xd.ndim < 2:
         raise ShapeError(f"gather_rows needs a >=2-d tensor, got {xd.shape}")
@@ -521,6 +536,8 @@ def gather_rows(x: Tensor, rows) -> Tensor:
     r = np.broadcast_to(np.asarray(rows, dtype=np.intp), lead)
     if np.any((r < 0) | (r >= steps)):
         raise ShapeError(f"row indices {r} outside [0, {steps})")
+    if steps == 1:
+        return x
     idx = np.broadcast_to(r[..., None, None], lead + (1, d))
     xshape = xd.shape
 
@@ -635,8 +652,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, key_mask=None) -> Ten
     q [... x a x d], k and v [... x l x d] share their leading axes; the width
     d splits into ``heads`` heads of d/heads columns each. ``key_mask`` (bool,
     broadcast to [... x l]) hides keys, and a query with no valid key gets a
-    zero output row. Backward recomputes the softmax weights from q and k
-    instead of keeping them.
+    zero output row. The node keeps the softmax weights [... x H x a x l] for
+    backward instead of recomputing them from q and k.
     """
     qd, kd, vd = q.data, k.data, v.data
     *lead, a, d = qd.shape
@@ -660,16 +677,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, key_mask=None) -> Ten
         return out
 
     qh, kh, vh = split(qd, a), split(kd, l), split(vd, l)
-
-    def weights() -> np.ndarray:  # [... x H x a x l]
-        return _softmax_weights(qh @ np.swapaxes(kh, -1, -2) * scale, mask)[0]
-
-    out = Tensor(merge(weights() @ vh, a))
+    w = _softmax_weights(qh @ np.swapaxes(kh, -1, -2) * scale, mask)[0]  # [... x H x a x l]
+    out = Tensor(merge(w @ vh, a))
     tape = _active_tape()
     if tape is not None:
 
         def backward(g: np.ndarray):
-            w = weights()
             gh = split(g, a)
             g_v = np.swapaxes(w, -1, -2) @ gh
             g_w = gh @ np.swapaxes(vh, -1, -2)

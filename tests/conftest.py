@@ -4,7 +4,21 @@ The acceptance-gate tests announce one pass/fail line per criterion.  Output
 written inside a test body is captured by pytest and hidden for passing
 tests, so the lines are buffered here and emitted through the terminal
 reporter at the end of the run, where they always reach the console.
+
+Hypothesis settings come from the profile named by ``HYPOTHESIS_PROFILE``:
+``ci`` prints the reproduction blob of a failing example; example counts and
+deadlines stay as each test sets them.
 """
+
+import os
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests then fail to import on their own
+    pass
+else:
+    settings.register_profile("ci", print_blob=True)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 CRITERION_LINES: list[str] = []
 

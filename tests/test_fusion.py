@@ -174,7 +174,37 @@ class TestFusionStack:
         assert not np.allclose(base.data, moved.data)
 
 
+    @pytest.mark.parametrize("rows", [(3, 1), (np.array([3, 0]), np.array([1, 2]))], ids=["int", "per-row"])
+    def test_given_rows_return_the_full_stack_rows(self, rows):
+        rng = np.random.default_rng(80)
+        layers = [init_fusion_layer(rng, D) for _ in range(2)]
+        z_ts = rng.normal(size=(2, 4, D))
+        z_txt = rng.normal(size=(2, 3, D))
+        mask = np.array([[True, True, False], [True, True, True]])
+        full_ts, full_txt = fusion_stack(Tensor(z_ts), Tensor(z_txt), layers, HEADS, txt_key_mask=mask)
+        ts_row, txt_row = rows
+        got_ts, got_txt = fusion_stack(
+            Tensor(z_ts), Tensor(z_txt), layers, HEADS, txt_key_mask=mask, ts_row=ts_row, txt_row=txt_row
+        )
+        assert got_ts.shape == got_txt.shape == (2, 1, D)
+        want_ts = full_ts.data[np.arange(2), np.broadcast_to(ts_row, 2)]
+        want_txt = full_txt.data[np.arange(2), np.broadcast_to(txt_row, 2)]
+        assert_allclose(got_ts.data[:, 0], want_ts, rtol=0, atol=1e-12)
+        assert_allclose(got_txt.data[:, 0], want_txt, rtol=0, atol=1e-12)
+
+
 class TestSingleStack:
+    @pytest.mark.parametrize("row", [2, np.array([0, 4])], ids=["int", "per-stream"])
+    def test_given_row_returns_the_full_stack_row(self, row):
+        rng = np.random.default_rng(81)
+        layers = [init_single_layer(rng, D) for _ in range(2)]
+        x = rng.normal(size=(2, 5, D))
+        mask = np.array([[True, True, True, False, False], [True] * 5])
+        full = single_stack(Tensor(x), layers, HEADS, key_mask=mask).data
+        got = single_stack(Tensor(x), layers, HEADS, key_mask=mask, row=row)
+        assert got.shape == (2, 1, D)
+        assert_allclose(got.data[:, 0], full[np.arange(2), np.broadcast_to(row, 2)], rtol=0, atol=1e-12)
+
     def test_zeroed_projections_make_identity(self):
         rng = np.random.default_rng(72)
         layers = [init_single_layer(rng, D) for _ in range(2)]

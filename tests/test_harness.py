@@ -187,6 +187,24 @@ def test_multilabel_training_path(splits):
     assert len(rep.per_class) == 2
 
 
+def test_train_prepares_the_validation_split_once(splits, monkeypatch):
+    tr, va, _ = splits
+    val_ids = {ep.episode_id for ep in va}
+    calls: list[str] = []
+    real = harness.prepare_episode
+
+    def counting(ep, config, stats):
+        calls.append(ep.episode_id)
+        return real(ep, config, stats)
+
+    monkeypatch.setattr(harness, "prepare_episode", counting)
+    val_trace: list[float] = []
+    train(small_config(epochs=2), tr, va, val_trace=val_trace)
+    assert len(val_trace) == 3  # the initialization and two epochs were all scored
+    assert sum(episode_id in val_ids for episode_id in calls) == len(va)
+    assert len(calls) == len(tr) + len(va)
+
+
 # ------------------------------------------------------------------ checkpoints
 
 def test_checkpoint_save_load_round_trip(tmp_path, splits):
@@ -229,6 +247,58 @@ def test_build_params_fills_the_checkpoint_without_a_random_init(splits, monkeyp
     assert params.ts_interp.bank is params.txt_interp.bank
 
 
+def test_checkpoint_is_one_parameter_buffer_with_reproducible_bytes(tmp_path, splits):
+    tr, va, _ = splits
+    ckpt = train(small_config(modality="fused", epochs=1), tr, va)
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(first, ckpt)
+    save_checkpoint(second, load_checkpoint(first))
+    assert first.read_bytes() == second.read_bytes()
+    with np.load(first) as bundle:
+        assert sorted(bundle.files) == ["meta", "params"]
+        meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
+        assert meta["format_version"] == 2
+        assert [name for name, _ in meta["index"]] == list(ckpt.arrays)
+        assert bundle["params"].size == sum(a.size for a in ckpt.arrays.values())
+    loaded = load_checkpoint(first)
+    assert list(loaded.arrays) == list(ckpt.arrays)
+    for name, value in ckpt.arrays.items():
+        assert loaded.arrays[name].dtype == np.float64
+        np.testing.assert_array_equal(loaded.arrays[name], value)
+
+
+def _write_npz(path, **members) -> None:
+    with open(path, "wb") as f:
+        np.savez(f, **members)
+
+
+def test_checkpoint_without_format_version_2_raises_data_error(tmp_path, splits):
+    tr, va, _ = splits
+    ckpt = train(small_config(epochs=0), tr, va)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, ckpt)
+    with np.load(path) as bundle:
+        meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
+    del meta["format_version"], meta["index"]
+    old = {f"param/{name}": value for name, value in ckpt.arrays.items()}  # one member per tensor
+    _write_npz(path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **old)
+    with pytest.raises(DataError, match="format version None"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [1, -1], ids=["short-buffer", "long-buffer"])
+def test_checkpoint_buffer_disagreeing_with_its_index_raises_data_error(tmp_path, splits, cut):
+    tr, va, _ = splits
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, train(small_config(epochs=0), tr, va))
+    with np.load(path) as bundle:
+        meta, params = bundle["meta"], bundle["params"]
+    params = params[:-cut] if cut > 0 else np.concatenate([params, [0.0]])
+    _write_npz(path, meta=meta, params=params)
+    with pytest.raises(DataError, match="unreadable checkpoint"):
+        load_checkpoint(path)
+
+
 def test_corrupt_checkpoint_raises_data_error(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")
@@ -252,8 +322,9 @@ def _rewrite_meta(path, edit) -> None:
         lambda meta: meta["config"].update(unknown_key=1),
         lambda meta: meta.pop("stats"),
         lambda meta: meta["config"].update(lr="fast"),
+        lambda meta: meta["index"][0][1].insert(0, -1),
     ],
-    ids=["unknown-config-key", "missing-stats", "bad-config-value"],
+    ids=["unknown-config-key", "missing-stats", "bad-config-value", "negative-index-dim"],
 )
 def test_malformed_checkpoint_meta_raises_data_error(tmp_path, splits, edit):
     tr, va, _ = splits

@@ -28,7 +28,8 @@ from mmists.model import (
     single_modality_forward,
     ts_embedding,
 )
-from mmists.fusion import classify_single, single_stack
+from mmists import model
+from mmists.fusion import classify, classify_single, fusion_stack, single_stack
 from mmists.tensor import Tape, Tensor, bce_with_logits, layer_norm
 
 SMALL = dict(
@@ -337,3 +338,56 @@ class TestGroups:
         h = layer_norm(h, params.txt_ln.gain, params.txt_ln.bias)
         want = classify_single(h, params.txt_head, row=l - 1).data
         assert np.max(np.abs(forward(collate(preps), params, cfg).data[member] - want)) <= 1e-12
+
+
+def full_row_logits(batch, params, cfg):
+    """The forward pass without row pruning: every stack keeps all alpha rows,
+    then the final layer norm, then the classifier at the rows it reads."""
+    if cfg.modality == "fused":
+        z_ts = ts_embedding(batch, params, cfg)
+        z_txt, mask, txt_row = model._txt_stream(batch, params, cfg)
+        z_ts, z_txt = fusion_stack(z_ts, z_txt, params.fusion_layers, cfg.heads, txt_key_mask=mask)
+        assert z_ts.shape[-2] == z_txt.shape[-2] == cfg.alpha
+        z_ts = layer_norm(z_ts, params.fused_ln_ts.gain, params.fused_ln_ts.bias)
+        z_txt = layer_norm(z_txt, params.fused_ln_txt.gain, params.fused_ln_txt.bias)
+        return classify(z_ts, z_txt, params.fused_head, ts_row=cfg.alpha - 1, txt_row=txt_row)
+    if cfg.modality == "ts":
+        z, mask, row = ts_embedding(batch, params, cfg), None, cfg.alpha - 1
+        stack, ln, head = params.ts_stack, params.ts_ln, params.ts_head
+    else:
+        z, mask, row = model._txt_stream(batch, params, cfg)
+        stack, ln, head = params.txt_stack, params.txt_ln, params.txt_head
+    h = single_stack(z, stack, cfg.heads, key_mask=mask)
+    assert h.shape[-2] == cfg.alpha
+    return classify_single(layer_norm(h, ln.gain, ln.bias), head, row=row)
+
+
+class TestRowPruning:
+    """The last stack layer computes only the rows the classifier reads."""
+
+    @pytest.mark.parametrize("overrides", GROUP_VARIANTS, ids=lambda o: "-".join(map(str, o.values())))
+    def test_pruned_logits_equal_full_row_logits(self, overrides):
+        cfg = small_config(note_budget=5, **overrides)
+        params = perturbed_params(cfg)
+        batch = collate(mixed_group(cfg))
+        pruned = forward(batch, params, cfg).data
+        full = full_row_logits(batch, params, cfg).data
+        assert pruned.shape == full.shape == (3, 1)
+        assert np.max(np.abs(pruned - full)) <= 1e-12
+
+    @pytest.mark.parametrize("overrides", GROUP_VARIANTS, ids=lambda o: "-".join(map(str, o.values())))
+    def test_pruned_gradients_equal_full_row_gradients(self, overrides):
+        cfg = small_config(note_budget=5, **overrides)
+        params = perturbed_params(cfg)
+        flat = params.flat()
+        batch = collate(mixed_group(cfg))
+        grads = []
+        for logits_of in (forward, full_row_logits):
+            with Tape() as tape:
+                tape.backward(bce_with_logits(logits_of(batch, params, cfg), batch.labels))
+            grads.append({k: tape.grad(t).copy() for k, t in flat.items()})
+        pruned, full = grads
+        assert max(np.max(np.abs(pruned[k] - full[k])) for k in flat) <= 1e-12
+        stack = {"fused": "fusion_layers", "ts": "ts_stack", "txt": "txt_stack"}[cfg.modality]
+        last_layer = f"{stack}.{cfg.fusion_layers - 1}."
+        assert any(np.any(g != 0.0) for k, g in pruned.items() if k.startswith(last_layer))

@@ -1,5 +1,7 @@
 """Autodiff core: forward values against numpy, gradients against central differences."""
 
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -179,6 +181,14 @@ class TestForward:
         assert_allclose(gather_rows(Tensor(x[0]), 1).data, x[0, 1:2])
         with pytest.raises(ShapeError):
             gather_rows(Tensor(x), np.array([3, 0]))
+
+    def test_gather_rows_of_one_row_matrices_is_the_identity(self):
+        one = Tensor(np.arange(8.0).reshape(2, 1, 4))
+        with Tape() as tape:
+            assert gather_rows(one, np.array([0, 0])) is one
+            assert not tape.nodes
+        with pytest.raises(ShapeError):
+            gather_rows(one, 1)
 
     def test_transpose_matches_numpy(self):
         x = np.arange(24.0).reshape(2, 3, 4)
@@ -484,6 +494,51 @@ class TestBackward:
         assert tape.grad_or_none(loss) is None
         with pytest.raises(RuntimeError):
             tape.backward(loss)
+
+    def test_threads_record_and_sweep_their_own_tapes(self):
+        # each thread has its own parameters; the barrier makes both tapes
+        # open at once and interleaves the threads' ops between them
+        barrier = threading.Barrier(2, timeout=30)
+
+        def gradients(seed: int, wait) -> dict[str, np.ndarray]:
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(5, 4))
+            w, b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3))
+            gain, bias = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
+            with Tape() as tape:
+                wait()
+                h = relu(linear(x, w, b))
+                wait()
+                h = layer_norm(h, gain, bias)
+                wait()
+                loss = reduce_sum(sigmoid(h) * h)
+                wait()
+                tape.backward(loss)
+                wait()
+            return {name: tape.grad(t) for name, t in (("w", w), ("b", b), ("gain", gain), ("bias", bias))}
+
+        sequential = [gradients(seed, lambda: None) for seed in (31, 32)]
+        results: dict[int, dict] = {}
+        errors: list[BaseException] = []
+
+        def run(i: int, seed: int) -> None:
+            try:
+                results[i] = gradients(seed, barrier.wait)
+            except Exception as e:  # re-raised below, in the test's thread
+                errors.append(e)
+                barrier.abort()
+
+        threads = [threading.Thread(target=run, args=(i, seed)) for i, seed in enumerate((31, 32))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        for i, want in enumerate(sequential):
+            for name, g in want.items():
+                np.testing.assert_array_equal(results[i][name], g)
 
     def test_composite_attention_like_block(self):
         rng = np.random.default_rng(20)
