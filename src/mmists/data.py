@@ -101,9 +101,12 @@ def _sorted_notes(notes) -> tuple[NoteEvent, ...]:
 def load_episodes(path, schema: TaskSchema) -> list[Episode]:
     """Parse line-delimited episode records, validating against the schema."""
     episodes: list[Episode] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DataError(f"line {line_no}: not UTF-8 text ({e.reason})") from e
             if not line:
                 continue
             try:
@@ -118,9 +121,14 @@ def _parse_record(rec: dict, schema: TaskSchema, line_no: int) -> Episode:
     def fail(field: str, why: str):
         raise DataError(f"line {line_no}: field '{field}': {why}")
 
+    if not isinstance(rec, dict):
+        raise DataError(f"line {line_no}: expected a JSON object, got {type(rec).__name__}")
     for key in ("id", "ts", "notes", "y"):
         if key not in rec:
             fail(key, "missing")
+    for key in ("ts", "notes"):
+        if not isinstance(rec[key], list):
+            fail(key, f"expected a list, got {type(rec[key]).__name__}")
     obs = []
     for j, o in enumerate(rec["ts"]):
         try:
@@ -151,7 +159,10 @@ def _parse_record(rec: dict, schema: TaskSchema, line_no: int) -> Episode:
         if has_text:
             notes.append(NoteEvent(t, text=str(n["text"])))
         else:
-            emb = np.asarray(n["emb"], dtype=np.float64)
+            try:
+                emb = np.asarray(n["emb"], dtype=np.float64)
+            except (TypeError, ValueError):
+                fail("notes", f"entry {j}: emb must be a list of numbers")
             if emb.ndim != 1:
                 fail("notes", f"entry {j}: emb must be a flat vector")
             if schema.text_dim is not None and emb.shape[0] != schema.text_dim:

@@ -67,7 +67,7 @@ GROUP_SIZE = 8
 
 
 class NumericalError(RuntimeError):
-    """Optimization produced a non-finite loss."""
+    """Optimization produced a non-finite loss, or a model a non-finite score."""
 
 
 # ------------------------------------------------------------------ checkpoint
@@ -216,10 +216,15 @@ def _score_prepared(
     params: ModelParams, config: RunConfig, preps: list[PreparedEpisode]
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Forward and sigmoid every prepared episode; one code path for
-    validation, evaluate, and predict so their numbers agree bit-for-bit."""
+    validation, evaluate, and predict so their numbers agree bit-for-bit.
+    A non-finite logit raises NumericalError."""
     scores = np.empty((len(preps), config.n_classes))
     for start, group in _groups(preps):
-        scores[start : start + len(group)] = _sigmoid_np(forward(collate(group), params, config).data)
+        logits = forward(collate(group), params, config).data
+        bad = ~np.isfinite(logits).all(axis=1)
+        if bad.any():
+            raise NumericalError(f"non-finite score for episode {group[int(np.argmax(bad))].episode_id}")
+        scores[start : start + len(group)] = _sigmoid_np(logits)
     return [p.episode_id for p in preps], scores, np.stack([p.label for p in preps])
 
 

@@ -33,6 +33,9 @@ def _check_pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(labels).reshape(-1)
     if s.shape != y.shape:
         raise ValueError(f"scores and labels disagree in length: {s.shape} vs {y.shape}")
+    if not np.isfinite(s).all():
+        # NaN == NaN is False, so ranking ties among NaNs would never end
+        raise ValueError(f"{int(np.sum(~np.isfinite(s)))} non-finite scores")
     return s, y
 
 

@@ -4,10 +4,19 @@ time attention that re-represents irregular series on the reference grid.
 Both the numeric-series variant and the note-embedding variant share one
 time-embedding bank (the same parameter tensors), while their projection
 weights stay separate.
+
+Only valid keys are embedded and scored: padding slots never enter the
+computation. Each series is one segment of the valid keys (one feature of one
+episode for ``mtand_ts``, one episode's notes for ``mtand_txt``), and every
+grid query takes its softmax within each segment, all in one
+``segment_time_attention`` tape node. A fused forward embeds the grid points
+once and hands that embedding to both calls, so the two streams' bank
+gradients meet on one node.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -17,13 +26,12 @@ from .imputation import ReferenceGrid
 from .tensor import (
     Tensor,
     concat,
-    expand_masked,
     linear,
     masked_softmax,
     matmul,
     narrow,
-    reduce_sum,
     reshape,
+    segment_time_attention,
     sin,
     swapaxes,
     time_embedding,
@@ -186,55 +194,71 @@ def time_attention(
     return matmul(weights, values)
 
 
-def _attention_weights(
-    grid: ReferenceGrid, key_times: np.ndarray, key_mask: np.ndarray, params: MtandParams
+def _interpolate(
+    key_times: np.ndarray,
+    key_mask: np.ndarray,
+    values: np.ndarray,
+    grid: ReferenceGrid,
+    params: MtandParams,
+    grid_embedding: Tensor | None,
 ) -> Tensor:
-    """Every head's attention of every grid point over every key: [V x alpha x *key_times.shape].
+    """Every head's interpolation of every series onto the grid: [V x alpha x S x c].
 
-    The softmax runs over the last key axis; masked keys get weight 0 and a
-    row with no valid key comes back all zero. Only the valid keys are
-    time-embedded and scored, in one product. Scores (e_q W_q)(e_k W_k)^T are
-    taken as ((e_q W_q) W_k^T) e_k^T, so the key projection is applied once
-    to the alpha grid queries instead of to every key.
+    ``key_times`` and ``key_mask`` are [... x L], one series per leading
+    index (S of them); ``values`` [... x L x c] or [... x L] (c = 1) are the
+    keys' values. Only the valid keys are embedded and scored, each grid
+    query takes its softmax over each series' own keys, and a series without
+    keys gives zeros. Scores (e_q W_q)(e_k W_k)^T are taken as
+    ((e_q W_q) W_k^T) e_k^T, so the key projection is applied once to the
+    alpha grid queries instead of to every key.
     """
     v, d_v = params.bank.n_heads, params.bank.d_v
+    n_series = math.prod(key_mask.shape[:-1])
     if not key_mask.any():
-        return Tensor(np.zeros((v, grid.n_points) + key_times.shape))
-    q = matmul(time2vec_heads(grid.points, params.bank), params.w_query)  # [V x alpha x d_v]
+        return Tensor(np.zeros((v, grid.n_points, n_series, values.size // key_mask.size)))
+    if grid_embedding is None:
+        grid_embedding = time2vec_heads(grid.points, params.bank)
+    q = matmul(grid_embedding, params.w_query)  # [V x alpha x d_v]
     qk = matmul(q, swapaxes(params.w_key, 1, 2)) * (d_v**-0.5)
-    keys = time2vec_heads(key_times[key_mask], params.bank)  # [V x n_valid x d_v]
-    scores = expand_masked(matmul(qk, swapaxes(keys, 1, 2)), key_mask)
-    weights, _ = masked_softmax(scores, key_mask)
-    return weights
+    series = np.nonzero(key_mask.reshape(n_series, -1))[0]  # each valid key's series, nondecreasing
+    return segment_time_attention(
+        qk, key_times[key_mask], params.bank.omega, params.bank.phi, series, n_series, values[key_mask]
+    )
 
 
-def _project_heads(mixed: Tensor, params: MtandParams) -> Tensor:
-    """[V x alpha x ... x c] -> each grid row's head outputs concatenated -> [... x alpha x d_h]."""
-    v, alpha, *lead, c = mixed.shape
+def _project_heads(mixed: Tensor, lead: tuple[int, ...], params: MtandParams) -> Tensor:
+    """[V x alpha x S x c], S * c = prod(lead) * k -> each grid row's head
+    outputs concatenated -> [*lead x alpha x d_h]."""
+    v, alpha = mixed.shape[:2]
+    per_head = (v, alpha, *lead, mixed.size // (v * alpha * math.prod(lead)))
+    if mixed.shape != per_head:
+        mixed = reshape(mixed, per_head)
     n = len(lead)
-    rows = transpose(mixed, (*range(2, 2 + n), 1, 0, 2 + n))  # [... x alpha x V x c]
-    return linear(reshape(rows, (*lead, alpha, v * c)), params.w_out, params.b_out)
+    rows = transpose(mixed, (*range(2, 2 + n), 1, 0, 2 + n))  # [*lead x alpha x V x k]
+    return linear(reshape(rows, (*lead, alpha, v * per_head[-1])), params.w_out, params.b_out)
 
 
 def mtand_ts(
     series: PaddedSeries | list[tuple[np.ndarray, np.ndarray]],
     grid: ReferenceGrid,
     params: MtandParams,
+    grid_embedding: Tensor | None = None,
 ) -> Tensor:
     """Interpolate each feature's own observations onto the grid, all heads and
-    features in one masked attention, then project the concatenated head
+    features in one segment attention, then project the concatenated head
     outputs.
 
     ``series`` is a PaddedSeries [... x d_m x L], giving [... x alpha x d_h],
     or one episode's list of per-feature (times, values), giving
-    [alpha x d_h]. A feature without observations is a fully masked row and
-    contributes a zero column.
+    [alpha x d_h]. A feature without observations contributes a zero column.
+    ``grid_embedding`` is ``time2vec_heads(grid.points, params.bank)``,
+    computed here when not given.
     """
     if not isinstance(series, PaddedSeries):
         one = pad_series([series])
         series = PaddedSeries(one.times[0], one.values[0], one.mask[0])
-    weights = _attention_weights(grid, series.times, series.mask, params)  # [V x alpha x ... x d_m x L]
-    return _project_heads(reduce_sum(weights * series.values, axis=-1), params)
+    mixed = _interpolate(series.times, series.mask, series.values, grid, params, grid_embedding)
+    return _project_heads(mixed, series.mask.shape[:-2], params)  # k = d_m: one column per feature
 
 
 def mtand_txt(
@@ -243,17 +267,18 @@ def mtand_txt(
     grid: ReferenceGrid,
     params: MtandParams,
     note_mask: np.ndarray | None = None,
+    grid_embedding: Tensor | None = None,
 ) -> Tensor:
     """Interpolate note embeddings (all dims share the note times) onto the grid.
 
     note_times [... x N], note_embeddings [... x N x d_t] and note_mask
     [... x N] (real notes; default all) give [... x alpha x d_h]. Every
-    episode needs at least one note.
+    episode needs at least one note. ``grid_embedding`` is as in ``mtand_ts``.
     """
     note_times = np.asarray(note_times, dtype=np.float64)
     mask = np.ones(note_times.shape, dtype=bool) if note_mask is None else np.asarray(note_mask, dtype=bool)
     if note_times.size == 0 or not mask.any(axis=-1).all():
         raise ValueError("mtand_txt needs at least one note per episode")
-    weights = _attention_weights(grid, note_times, mask, params)  # [V x alpha x ... x N]
-    mixed = reduce_sum(reshape(weights, weights.shape + (1,)) * note_embeddings, axis=-2)
-    return _project_heads(mixed, params)
+    embeddings = np.asarray(note_embeddings, dtype=np.float64)
+    mixed = _interpolate(note_times, mask, embeddings, grid, params, grid_embedding)
+    return _project_heads(mixed, mask.shape[:-1], params)  # k = d_t

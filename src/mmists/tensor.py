@@ -6,8 +6,9 @@ created outside a tape (or plain numpy arrays / floats passed to ops) are
 treated as constants. Everything is float64 and row-major.
 
 The stack of open tapes is per thread, so threads record and sweep their own
-tapes. A Tensor keeps one leaf slot, so two threads must not record the same
-Tensor at once.
+tapes. A tape keeps its leaves (the Tensors it reads but did not compute, such
+as parameters) in its own table and never writes to them, so one parameter can
+be read by several threads' tapes at once.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "linear",
     "attention",
     "time_embedding",
+    "segment_time_attention",
     "add",
     "sub",
     "mul",
@@ -45,7 +47,6 @@ __all__ = [
     "swapaxes",
     "transpose",
     "gather_rows",
-    "expand_masked",
     "layer_norm",
     "softmax",
     "masked_softmax",
@@ -103,7 +104,8 @@ class Tensor:
 
     @property
     def node_id(self) -> int | None:
-        """Node handle on the tape this tensor was last recorded on."""
+        """Node handle on the tape that computed this tensor; None for a
+        tensor made outside a tape (a leaf's node is ``Tape.node_of``)."""
         return self._node
 
     def item(self) -> float:
@@ -164,6 +166,8 @@ class Tape:
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
         self.gradients: dict[int, np.ndarray] = {}
+        # id(leaf) -> (node, leaf); holding the leaf keeps its id from being reused
+        self._leaves: dict[int, tuple[int, Tensor]] = {}
         self._swept = False
 
     def __enter__(self) -> "Tape":
@@ -174,13 +178,21 @@ class Tape:
         popped = _TAPE_STACK.tapes.pop()
         assert popped is self
 
+    def node_of(self, t: Tensor) -> int | None:
+        """``t``'s node on this tape: the op that computed it, or its leaf
+        node; None if this tape never read it."""
+        if t._tape is self:
+            return t._node
+        entry = self._leaves.get(id(t))
+        return None if entry is None else entry[0]
+
     def _ensure_leaf(self, t: Tensor) -> int:
-        if t._tape is not self:
-            t._tape = self
-            t._node = len(self.nodes)
+        node = self.node_of(t)
+        if node is None:
+            node = len(self.nodes)
+            self._leaves[id(t)] = (node, t)
             self.nodes.append(_Node("leaf", (), None))
-        assert t._node is not None
-        return t._node
+        return node
 
     def record(
         self,
@@ -216,8 +228,9 @@ class Tape:
         self.gradients = {loss._node: np.ones_like(loss.data)}
         grads = self.gradients
         for leaf, acc in (into or {}).items():
-            if leaf._tape is self and leaf._node is not None:
-                grads[leaf._node] = acc
+            node = self.node_of(leaf)
+            if node is not None:
+                grads[node] = acc
         nodes = self.nodes
         for node_id in range(loss._node, -1, -1):
             node = nodes[node_id]
@@ -244,14 +257,11 @@ class Tape:
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient of the last backward() loss w.r.t. ``t`` (zeros if unused)."""
-        if t._tape is self and t._node is not None and t._node in self.gradients:
-            return self.gradients[t._node]
-        return np.zeros_like(t.data)
+        g = self.grad_or_none(t)
+        return np.zeros_like(t.data) if g is None else g
 
     def grad_or_none(self, t: Tensor) -> np.ndarray | None:
-        if t._tape is self and t._node is not None:
-            return self.gradients.get(t._node)
-        return None
+        return self.gradients.get(self.node_of(t))
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -329,6 +339,37 @@ def sin(x: Tensor) -> Tensor:
     return _unary(x, np.sin(xd), lambda g: (g * np.cos(xd),), "sin")
 
 
+def _time2vec_rows(times) -> np.ndarray:
+    """The rows (t, 1) of n times, [n x 2]."""
+    t = np.asarray(times, dtype=np.float64).reshape(-1)
+    return np.stack((t, np.ones_like(t)), axis=1)
+
+
+def _time2vec_angles(tk: np.ndarray, od: np.ndarray, pd: np.ndarray) -> np.ndarray:
+    """Time2Vec angles omega * t + phi of n times under V heads, [V x n x d_v],
+    as one [n x 2] @ [V x 2 x d_v] product of the rows (t, 1)."""
+    return tk @ np.stack((od, pd), axis=1)
+
+
+def _time2vec(tk: np.ndarray, od: np.ndarray, pd: np.ndarray) -> np.ndarray:
+    """The Time2Vec embedding: the angles, with sin taken on the periodic columns."""
+    theta = _time2vec_angles(tk, od, pd)
+    np.sin(theta[..., 1:], out=theta[..., 1:])
+    return theta
+
+
+def _time2vec_backward(tk: np.ndarray, od: np.ndarray, pd: np.ndarray, g: np.ndarray):
+    """(omega, phi) gradients of Time2Vec for the output gradient ``g``
+    [V x n x d_v]: the angle gradient is g (linear column) or g * cos(angle),
+    and one [2 x n] product per head sums it against the rows (t, 1)."""
+    slope = _time2vec_angles(tk, od, pd)
+    np.cos(slope[..., 1:], out=slope[..., 1:])
+    slope[..., 0] = 1.0
+    slope *= g  # d loss / d angle
+    g_bank = tk.T @ slope  # [V x 2 x d_v]
+    return g_bank[:, 0], g_bank[:, 1]
+
+
 def time_embedding(times, omega: Tensor, phi: Tensor) -> Tensor:
     """Time2Vec of n times under V heads at once: [V x n x d_v] for omega and
     phi [V x d_v]. Column 0 is omega[:, 0] * t + phi[:, 0] (linear); column
@@ -337,25 +378,82 @@ def time_embedding(times, omega: Tensor, phi: Tensor) -> Tensor:
     od, pd = omega.data, phi.data
     if od.ndim != 2 or pd.shape != od.shape:
         raise ShapeError(f"omega and phi must both be [V x d_v], got {od.shape} and {pd.shape}")
-    t = np.asarray(times, dtype=np.float64).reshape(1, -1, 1)
-    theta = od[:, None, :] * t + pd[:, None, :]
-    np.sin(theta[..., 1:], out=theta[..., 1:])
-    out = Tensor(theta)
+    tk = _time2vec_rows(times)
+    out = Tensor(_time2vec(tk, od, pd))
+    tape = _active_tape()
+    if tape is not None:
+        od, pd = od.copy(), pd.copy()
+        tape.record(out, (omega, phi), lambda g: _time2vec_backward(tk, od, pd, g), "time_embedding")
+    return out
+
+
+def segment_time_attention(
+    queries: Tensor, key_times, omega: Tensor, phi: Tensor, segments, n_segments: int, values
+) -> Tensor:
+    """mTAND time attention over keys split into segments, as one tape node.
+
+    ``key_times`` [n] are embedded with Time2Vec under the V heads of
+    ``omega``/``phi`` [V x d_v] (as in ``time_embedding``), scored against
+    ``queries`` [V x a x d_v] (already projected and scaled), and each query
+    takes a softmax over the keys of each segment separately. ``segments``
+    [n] gives every key's segment in [0, n_segments); it must be
+    nondecreasing, so a segment's keys are contiguous. ``values`` [n] or
+    [n x c] are constants. Returns [V x a x n_segments x c]: row (v, i, s)
+    mixes segment s's values by query i's weights under head v, and a
+    segment without keys gives zero rows.
+
+    Nothing is padded: the work and the memory kept for backward (keys and
+    weights, [V x n x d_v] and [V x n x a]) are linear in the key count. The
+    segment reductions run along the key axis with ``reduceat`` at the
+    segment starts.
+    """
+    qd, od, pd = queries.data, omega.data, phi.data
+    if od.ndim != 2 or pd.shape != od.shape or qd.ndim != 3 or qd.shape[::2] != od.shape:
+        raise ShapeError(f"queries [V x a x d_v], omega and phi [V x d_v]; got {qd.shape}, {od.shape}, {pd.shape}")
+    tk = _time2vec_rows(key_times)
+    n = tk.shape[0]
+    seg = np.asarray(segments, dtype=np.intp).reshape(-1)
+    vals = np.asarray(values, dtype=np.float64)
+    vals = vals[:, None] if vals.ndim == 1 else vals
+    if seg.shape != (n,) or vals.ndim != 2 or vals.shape[0] != n:
+        raise ShapeError(f"{seg.size} segment ids and values {vals.shape} for {n} keys")
+    if n and (seg[0] < 0 or seg[-1] >= n_segments or np.any(seg[1:] < seg[:-1])):
+        raise ValueError(f"segment ids must be nondecreasing in [0, {n_segments})")
+    v, a, _ = qd.shape
+    c = vals.shape[1]
+    out = np.zeros((v, a, n_segments, c))
+    if n == 0:
+        return Tensor(out)
+    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+    counts = np.diff(np.r_[starts, n])
+    present = seg[starts]  # the segments that have keys, in order
+
+    def spread(x: np.ndarray) -> np.ndarray:  # per-segment [V x S x ...] -> per-key [V x n x ...]
+        return np.repeat(x, counts, axis=1)
+
+    keys = _time2vec(tk, od, pd)
+    w = keys @ np.swapaxes(qd, 1, 2)  # scores [V x n x a], key-major so segments are row blocks
+    w -= spread(np.maximum.reduceat(w, starts, axis=1))
+    np.exp(w, out=w)
+    w /= spread(np.add.reduceat(w, starts, axis=1))
+    mixed = np.add.reduceat(w[..., None] * vals[:, None, :], starts, axis=1)  # [V x S x a x c]
+    out[:, :, present, :] = np.swapaxes(mixed, 1, 2)
+    result = Tensor(out)
     tape = _active_tape()
     if tape is not None:
         od, pd = od.copy(), pd.copy()
 
         def backward(g: np.ndarray):
-            slope = od[:, None, :] * t + pd[:, None, :]
-            np.cos(slope[..., 1:], out=slope[..., 1:])
-            slope[..., 0] = 1.0
-            slope *= g  # d loss / d angle
-            g_phi = slope.sum(axis=1)
-            slope *= t
-            return slope.sum(axis=1), g_phi
+            g_mixed = spread(np.swapaxes(g[:, :, present, :], 1, 2))  # [V x n x a x c]
+            g_w = (g_mixed * vals[:, None, :]).sum(axis=-1)
+            g_s = g_w * w
+            g_s -= w * spread(np.add.reduceat(g_s, starts, axis=1))  # softmax within each segment
+            g_q = np.swapaxes(g_s, 1, 2) @ keys
+            g_keys = g_s @ qd
+            return (g_q, *_time2vec_backward(tk, od, pd, g_keys))
 
-        tape.record(out, (omega, phi), backward, "time_embedding")
-    return out
+        tape.record(result, (queries, omega, phi), backward, "segment_time_attention")
+    return result
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -547,26 +645,6 @@ def gather_rows(x: Tensor, rows) -> Tensor:
         return (full,)
 
     return _unary(x, np.take_along_axis(xd, idx, axis=-2), backward, "gather_rows")
-
-
-def expand_masked(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Spread the last axis of ``x`` [... x n] over the True entries of the
-    boolean ``mask`` (n of them, in row-major order): [... x *mask.shape],
-    zero where the mask is False."""
-    xd = x.data
-    m = np.asarray(mask, dtype=bool)
-    idx = np.flatnonzero(m)
-    if xd.shape[-1] != idx.size:
-        raise ShapeError(f"expand_masked: {xd.shape[-1]} values for {idx.size} mask entries")
-    lead = xd.shape[:-1]
-    out = np.zeros(lead + (m.size,))
-    out[..., idx] = xd
-    return _unary(
-        x,
-        out.reshape(lead + m.shape),
-        lambda g: (g.reshape(lead + (m.size,))[..., idx],),
-        "expand_masked",
-    )
 
 
 _LN_EPS = 1e-5

@@ -60,6 +60,7 @@ from mmists.tensor import (
     relative_error,
     relu,
     reshape,
+    segment_time_attention,
     sigmoid,
     sin,
     softmax,
@@ -262,6 +263,20 @@ def _grad_suite_ops(rng: np.random.Generator) -> float:
     targets = np.array([1.0, 0.0, 1.0, 0.0])
     check({"logits": logits}, lambda: bce_with_logits(logits, targets))
     check({"logits": logits}, lambda: bce_with_logits(logits, targets, pos_weight=2.0))
+    seg_q = Tensor(rng.normal(size=(2, 3, 4)))
+    seg_times = rng.random(6)
+    segments = np.array([0, 0, 2, 2, 2, 3])  # segments 1 and 4: no key
+    seg_values = rng.normal(size=(6, 2))
+    # phi's linear column has gradient exactly 0 (it shifts every score of a
+    # segment alike); small weights keep the central differences' rounding
+    # there under relative_error's 1e-6 floor
+    seg_w = rng.normal(size=(2, 3, 5, 2)) * 0.1
+    check(
+        {"seg_q": seg_q, "omega": omega, "phi": phi},
+        lambda: reduce_sum(
+            sin(segment_time_attention(seg_q, seg_times, omega, phi, segments, 5, seg_values)) * seg_w
+        ),
+    )
     return worst
 
 

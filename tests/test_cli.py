@@ -7,7 +7,7 @@ import pytest
 
 from mmists.cli import build_parser, build_run_config, main, read_config_file
 from mmists.data import TaskSchema, load_episodes
-from mmists.harness import load_checkpoint
+from mmists.harness import load_checkpoint, save_checkpoint
 from mmists.model import ConfigError
 
 
@@ -186,6 +186,20 @@ def test_numerical_failure_exits_4(tmp_path, dataset):
                    "--train-path", str(train_path), "--val-path", str(val_path),
                    "--checkpoint-path", str(tmp_path / "x.ckpt")])
     assert rc == 4
+
+
+def test_non_finite_score_exits_4(tmp_path, dataset):
+    train_path, val_path, test_path = dataset
+    ckpt_path = tmp_path / "model.ckpt"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--seed", "0",
+                 "--train-path", str(train_path), "--val-path", str(val_path),
+                 "--checkpoint-path", str(ckpt_path)]) == 0
+    ckpt = load_checkpoint(ckpt_path)
+    ckpt.arrays["ts_head.b_out"][:] = np.nan
+    save_checkpoint(ckpt_path, ckpt)
+    assert main(["eval", "--checkpoint", str(ckpt_path), "--data", str(test_path)]) == 4
+    assert main(["predict", "--checkpoint", str(ckpt_path), "--data", str(test_path),
+                 "--out", str(tmp_path / "pred.jsonl")]) == 4
 
 
 # ------------------------------------------------------------------ ablate

@@ -117,6 +117,35 @@ class TestLoad:
         with pytest.raises(DataError, match="exactly one"):
             load_episodes(p, SCHEMA)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"ts": 5}, "ts"),
+            ({"ts": {"f": 0, "t": 1.0, "v": 0.0}}, "ts"),
+            ({"notes": None}, "notes"),
+            ({"notes": [{"t": 1.0, "emb": "abc"}]}, "notes"),
+            ({"notes": [{"t": 1.0, "emb": ["x", 0.0, 0.0, 0.0]}]}, "notes"),
+            ({"notes": [{"t": 1.0, "emb": [[0.0, 0.0], [0.0]]}]}, "notes"),
+        ],
+    )
+    def test_malformed_field_is_a_data_error(self, tmp_path, overrides, field):
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [make_record(**overrides)])
+        with pytest.raises(DataError, match=f"line 1: field '{field}'"):
+            load_episodes(p, TaskSchema(n_features=2, n_classes=1, text_dim=4))
+
+    def test_bytes_that_are_not_utf8_rejected(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(json.dumps(make_record()).encode() + b"\n\xff\xfe{}\n")
+        with pytest.raises(DataError, match="line 2: not UTF-8"):
+            load_episodes(p, SCHEMA)
+
+    def test_record_that_is_not_an_object_rejected(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text("[1, 2]\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 1: expected a JSON object"):
+            load_episodes(p, SCHEMA)
+
     def test_embedding_width_checked_against_schema(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_lines(p, [make_record(notes=[{"t": 1.0, "emb": [0.0] * 4}])])

@@ -1,5 +1,7 @@
 """Metric correctness: closed forms, brute-force oracles, and invariances."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,25 @@ def test_auroc_single_class_raises():
         auroc([0.1, 0.9], [1, 1])
     with pytest.raises(UndefinedMetricError):
         auroc([0.1, 0.9], [0, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_scores_raise_instead_of_hanging(bad):
+    # run in a thread: a regression in the tie loop would spin forever
+    errors = []
+
+    def run():
+        for metric in (auroc, aupr, f1_binary):
+            try:
+                metric([bad, 0.3], [1, 0])
+            except ValueError as e:
+                errors.append(e)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "auroc did not return on a non-finite score"
+    assert len(errors) == 3
 
 
 def test_auroc_matches_pair_oracle():

@@ -1,5 +1,6 @@
 """Autodiff core: forward values against numpy, gradients against central differences."""
 
+import sys
 import threading
 
 import numpy as np
@@ -18,7 +19,6 @@ from mmists.tensor import (
     bce_with_logits,
     causal_conv1d,
     concat,
-    expand_masked,
     finite_difference_gradients,
     gather_rows,
     layer_norm,
@@ -291,17 +291,6 @@ class TestBackward:
         w = rng.normal(size=(2, 5, 4))
         check_grads(lambda: reduce_sum(time_embedding(times, omega, phi) * w), {"omega": omega, "phi": phi})
 
-    def test_expand_masked_places_values_and_routes_grads(self):
-        rng = np.random.default_rng(26)
-        mask = np.array([[True, False, True], [False, False, True]])
-        x = Tensor(rng.normal(size=(2, 3)))
-        out = expand_masked(x, mask).data
-        assert out.shape == (2, 2, 3)
-        assert_allclose(out[:, mask], x.data)
-        assert_allclose(out[:, ~mask], 0.0)
-        w = rng.normal(size=(2, 2, 3))
-        check_grads(lambda: reduce_sum(sin(expand_masked(x, mask)) * w), {"x": x})
-
     def test_transpose_and_gather_rows(self):
         rng = np.random.default_rng(15)
         x = Tensor(rng.normal(size=(2, 3, 4)))
@@ -476,7 +465,7 @@ class TestBackward:
         leaves = {"x": x, "w": w, "gain": gain, "bias": bias}
         with Tape() as ref:
             _, loss = build()
-        leaf_ids = {name: t.node_id for name, t in leaves.items()}
+        leaf_ids = {name: ref.node_of(t) for name, t in leaves.items()}
         grads = {loss.node_id: np.ones_like(loss.data)}
         for node_id in range(loss.node_id, -1, -1):
             node = ref.nodes[node_id]
@@ -539,6 +528,71 @@ class TestBackward:
         for i, want in enumerate(sequential):
             for name, g in want.items():
                 np.testing.assert_array_equal(results[i][name], g)
+
+    def test_threads_share_a_parameter(self):
+        # both threads read the same w on their own tapes at once; each tape
+        # must see every use of w it recorded, and only those
+        w, b = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
+        barrier = threading.Barrier(2, timeout=30)
+        results, errors = [None, None], []
+
+        def run(i: int, scale: float) -> None:
+            try:
+                x = np.full((4, 1), scale)
+                with Tape() as tape:
+                    barrier.wait()
+                    h = linear(x, w, b)
+                    barrier.wait()
+                    loss = reduce_sum(h) + reduce_sum(linear(x, w, b))
+                    barrier.wait()
+                    tape.backward(loss)
+                results[i] = float(tape.grad(w)[0, 0])
+            except Exception as e:  # re-raised below, in the test's thread
+                errors.append(e)
+                barrier.abort()
+
+        threads = [threading.Thread(target=run, args=(i, s)) for i, s in enumerate((1.0, 2.0))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        assert results == [8.0, 16.0]
+        assert w.node_id is None  # recording never wrote to the shared leaf
+
+    def test_threads_sharing_parameters_under_stress(self):
+        # more threads than cores, switching every microsecond: a leaf lost
+        # to another thread's tape would drop a term from some gradient
+        w, b = Tensor(np.ones((2, 3))), Tensor(np.zeros(3))
+        errors = []
+
+        def run(scale: float) -> None:
+            try:
+                x = np.full((4, 2), scale)
+                for _ in range(50):
+                    with Tape() as tape:
+                        loss = reduce_sum(linear(x, w, b)) + reduce_sum(linear(x, w, b) * 2.0)
+                        tape.backward(loss)
+                    np.testing.assert_array_equal(tape.grad(w), np.full((2, 3), 12.0 * scale))
+                    np.testing.assert_array_equal(tape.grad(b), np.full(3, 12.0))
+            except Exception as e:  # re-raised below, in the test's thread
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(float(i + 1),)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
 
     def test_composite_attention_like_block(self):
         rng = np.random.default_rng(20)
