@@ -2,8 +2,10 @@
 
 Run settings live in a flat ``key = value`` config file whose keys are the
 RunConfig fields; every key can be overridden by the matching ``--key value``
-flag. Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical failure.
+flag. Exit codes: 0 success, 2 configuration error (an invalid value, or a
+``--config`` file that is missing, a directory, unreadable or not UTF-8),
+3 data error (bad data, or any other named path that cannot be read or
+written), 4 numerical failure. Each failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -79,8 +81,12 @@ def _coerce(key: str, raw: str):
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` lines; blank lines and # comments are skipped."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Flat ``key = value`` lines; blank lines and # comments are skipped.
+    A file that cannot be read as UTF-8 text is a ``ConfigError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -266,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, UndefinedMetricError, FileNotFoundError) as e:
+    except (DataError, UndefinedMetricError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:

@@ -99,8 +99,10 @@ def _sorted_notes(notes) -> tuple[NoteEvent, ...]:
 
 
 def load_episodes(path, schema: TaskSchema) -> list[Episode]:
-    """Parse line-delimited episode records, validating against the schema."""
+    """Parse line-delimited episode records, validating against the schema.
+    Every ``id`` must be a string, unique within the file."""
     episodes: list[Episode] = []
+    first_line: dict[str, int] = {}  # id -> the line that used it first
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
@@ -113,7 +115,13 @@ def load_episodes(path, schema: TaskSchema) -> list[Episode]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"line {line_no}: invalid JSON ({e.msg})") from e
-            episodes.append(_parse_record(rec, schema, line_no))
+            ep = _parse_record(rec, schema, line_no)
+            seen = first_line.setdefault(ep.episode_id, line_no)
+            if seen != line_no:
+                raise DataError(
+                    f"line {line_no}: field 'id': duplicate id {ep.episode_id!r} (first on line {seen})"
+                )
+            episodes.append(ep)
     return episodes
 
 
@@ -126,6 +134,8 @@ def _parse_record(rec: dict, schema: TaskSchema, line_no: int) -> Episode:
     for key in ("id", "ts", "notes", "y"):
         if key not in rec:
             fail(key, "missing")
+    if not isinstance(rec["id"], str):
+        fail("id", f"expected a string, got {type(rec['id']).__name__}")
     for key in ("ts", "notes"):
         if not isinstance(rec[key], list):
             fail(key, f"expected a list, got {type(rec[key]).__name__}")
@@ -178,7 +188,7 @@ def _parse_record(rec: dict, schema: TaskSchema, line_no: int) -> Episode:
     if any(v not in (0, 1) for v in y):
         fail("y", f"labels must be 0/1, got {y!r}")
     return Episode(
-        episode_id=str(rec["id"]),
+        episode_id=rec["id"],
         observations=tuple(obs),
         notes=_sorted_notes(notes),
         label=np.asarray(y, dtype=np.int64),

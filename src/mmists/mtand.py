@@ -12,6 +12,12 @@ grid query takes its softmax within each segment, all in one
 ``segment_time_attention`` tape node. A fused forward embeds the grid points
 once and hands that embedding to both calls, so the two streams' bank
 gradients meet on one node.
+
+The time embeddings of the grid and of the keys come from ``tensor``'s
+Time2Vec helper: sin by the half-angle tangent, and, while a tape records, the
+kept slope that the backward multiplies by instead of recomputing the angles.
+The per-head reference path (``time2vec``, ``time_attention``) still uses the
+generic ``sin`` op.
 """
 
 from __future__ import annotations

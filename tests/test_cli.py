@@ -171,6 +171,82 @@ def test_missing_data_file_exits_3(tmp_path, dataset):
     assert rc == 3
 
 
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_config_path_that_is_a_directory_exits_2(tmp_path, dataset, capsys):
+    train_path, val_path, _ = dataset
+    rc = main(["train", "--config", str(tmp_path), "--seed", "0",
+               "--train-path", str(train_path), "--val-path", str(val_path),
+               "--checkpoint-path", str(tmp_path / "x.ckpt")])
+    assert rc == 2
+    _one_line_error(capsys, "config error: cannot read config file")
+
+
+def test_config_file_that_is_missing_or_not_utf8_exits_2(tmp_path, dataset, capsys):
+    train_path, val_path, _ = dataset
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"lr = 1e-3 # caf\xe9\n")
+    for cfg in (tmp_path / "absent.cfg", bad):
+        rc = main(["train", "--config", str(cfg), "--seed", "0",
+                   "--train-path", str(train_path), "--val-path", str(val_path),
+                   "--checkpoint-path", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+        _one_line_error(capsys, "config error: cannot read config file")
+
+
+def test_checkpoint_path_that_is_a_directory_exits_3(tmp_path, dataset, capsys):
+    train_path, val_path, _ = dataset
+    rc = main(["train", "--config", str(write_config(tmp_path)), "--seed", "0",
+               "--train-path", str(train_path), "--val-path", str(val_path),
+               "--checkpoint-path", str(tmp_path)])
+    assert rc == 3
+    _one_line_error(capsys, "data error:")
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory, dataset):
+    train_path, val_path, _ = dataset
+    root = tmp_path_factory.mktemp("cli-ckpt")
+    path = root / "model.ckpt"
+    assert main(["train", "--config", str(write_config(root)), "--seed", "0",
+                 "--train-path", str(train_path), "--val-path", str(val_path),
+                 "--checkpoint-path", str(path)]) == 0
+    return path
+
+
+def test_eval_data_that_is_a_directory_exits_3(tmp_path, trained_checkpoint, capsys):
+    rc = main(["eval", "--checkpoint", str(trained_checkpoint), "--data", str(tmp_path)])
+    assert rc == 3
+    _one_line_error(capsys, "data error:")
+
+
+def test_predict_out_that_is_a_directory_exits_3(tmp_path, dataset, trained_checkpoint, capsys):
+    _, _, test_path = dataset
+    rc = main(["predict", "--checkpoint", str(trained_checkpoint), "--data", str(test_path),
+               "--out", str(tmp_path)])
+    assert rc == 3
+    _one_line_error(capsys, "data error:")
+
+
+def test_duplicate_or_non_string_episode_id_exits_3(tmp_path, dataset, trained_checkpoint, capsys):
+    _, _, test_path = dataset
+    lines = test_path.read_text(encoding="utf-8").splitlines()
+    renumbered = json.loads(lines[1])
+    renumbered["id"] = 5
+    for name, body in [("dup.jsonl", [lines[0], lines[1], lines[0]]),
+                       ("int.jsonl", [lines[0], json.dumps(renumbered)])]:
+        data = tmp_path / name
+        data.write_text("\n".join(body) + "\n", encoding="utf-8")
+        rc = main(["predict", "--checkpoint", str(trained_checkpoint), "--data", str(data),
+                   "--out", str(tmp_path / "pred.jsonl")])
+        assert rc == 3
+        assert "field 'id'" in _one_line_error(capsys, "data error: line ")
+
+
 def test_corrupt_checkpoint_exits_3(tmp_path, dataset):
     _, _, test_path = dataset
     bad = tmp_path / "bad.ckpt"

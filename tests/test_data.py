@@ -146,6 +146,25 @@ class TestLoad:
         with pytest.raises(DataError, match="line 1: expected a JSON object"):
             load_episodes(p, SCHEMA)
 
+    @pytest.mark.parametrize("bad_id", [5, 1.5, None, True, ["e1"], {"id": "e1"}])
+    def test_non_string_id_rejected(self, tmp_path, bad_id):
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [make_record(id="e0"), make_record(id=bad_id)])
+        with pytest.raises(DataError, match="line 2: field 'id': expected a string"):
+            load_episodes(p, SCHEMA)
+
+    def test_duplicate_id_rejected_with_both_lines(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [make_record(id="a"), make_record(id="b"), make_record(id="a")])
+        with pytest.raises(DataError, match=r"line 3: field 'id': duplicate id 'a' \(first on line 1\)"):
+            load_episodes(p, SCHEMA)
+
+    def test_ids_differing_only_in_case_or_space_are_distinct(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        ids = ["a", "A", "a ", ""]
+        write_lines(p, [make_record(id=i) for i in ids])
+        assert [ep.episode_id for ep in load_episodes(p, SCHEMA)] == ids
+
     def test_embedding_width_checked_against_schema(self, tmp_path):
         p = tmp_path / "d.jsonl"
         write_lines(p, [make_record(notes=[{"t": 1.0, "emb": [0.0] * 4}])])

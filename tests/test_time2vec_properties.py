@@ -1,0 +1,164 @@
+"""The shared Time2Vec helper: sin/cos from the half-angle tangent, and the
+slope the forward keeps for backward.
+
+``tensor._time2vec`` takes sin of the periodic angles as 2 tau / (1 + tau^2)
+with tau = tan(angle / 2), and, while a tape records, keeps the slope
+(1 on the linear column, cos = (1 - tau^2) / (1 + tau^2) on the others), so
+backward is one product with it. These tests hold both against numpy's
+``sin``/``cos`` over negative and large angles and at the poles of tau, and
+hold the kept-slope gradients against a backward that recomputes the angles.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mmists import data, model, tensor
+from mmists.tensor import Tape, Tensor, bce_with_logits, reduce_sum, time_embedding
+
+BOUND = 1e-15
+LIMIT = 1e4
+POLE_K = int((LIMIT / math.pi - 1) // 2)  # (2k + 1) pi stays inside [-LIMIT, LIMIT]
+
+
+def _ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+# doubles at and next to (2k + 1) pi, where tan(angle / 2) has its poles
+pole_angles = st.builds(
+    lambda k, steps: _ulps_from((2 * k + 1) * math.pi, steps),
+    st.integers(-POLE_K - 1, POLE_K),
+    st.integers(-3, 3),
+)
+angles = st.one_of(
+    st.floats(-LIMIT, LIMIT, allow_nan=False),
+    st.floats(-10.0, 10.0, allow_nan=False),
+    pole_angles,
+)
+
+
+def _angle_rows(values):
+    """(rows, omega, phi) whose Time2Vec angles are ``values`` exactly: one
+    time t = 1 and phi = 0, so the angle is omega * 1 + 0. Column 0 (the
+    linear one) takes the first value as well."""
+    omega = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    return tensor._time2vec_rows([1.0]), omega, np.zeros_like(omega)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(angles, min_size=2, max_size=40),
+    st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=40, max_size=40),
+)
+@example([5e-324, -5e-324, 1e-310, -0.0], [1.0] * 40)  # subnormal angles, the linear one too
+def test_embedding_slope_and_gradient_match_sin_cos(values, g_values):
+    rows, omega, phi = _angle_rows(values)
+    theta = omega[0]
+    g = np.asarray(g_values[: theta.size]).reshape(1, 1, -1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        emb, slope = tensor._time2vec(rows, omega, phi, keep_slope=True)
+        g_omega, g_phi = tensor._time2vec_backward(rows, slope.copy(), g)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    assert emb[0, 0, 0] == theta[0] and slope[0, 0, 0] == 1.0
+    assert np.max(np.abs(emb[0, 0, 1:] - np.sin(theta[1:]))) <= BOUND
+    assert np.max(np.abs(slope[0, 0, 1:] - np.cos(theta[1:]))) <= BOUND
+    # the rows are (1, 1), so both bank gradients are g * d embedding / d angle
+    want = g[0, 0] * np.r_[1.0, np.cos(theta[1:])]
+    assert np.max(np.abs(g_omega[0] - want)) <= BOUND
+    assert np.max(np.abs(g_phi[0] - want)) <= BOUND
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(angles, min_size=2, max_size=16), st.floats(-1.0, 1.0, allow_nan=False))
+def test_time_embedding_op_gradient_matches_cos(values, weight):
+    """The same through the tape op: d sum(w * emb) / d omega is w * cos."""
+    rows, omega_d, _ = _angle_rows(values)
+    omega, phi = Tensor(omega_d), Tensor(np.zeros_like(omega_d))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with Tape() as tape:
+            emb = time_embedding([1.0], omega, phi)
+            tape.backward(reduce_sum(emb * weight))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    theta = omega_d[0]
+    assert np.max(np.abs(emb.data[0, 0, 1:] - np.sin(theta[1:]))) <= BOUND
+    want = weight * np.r_[1.0, np.cos(theta[1:])]
+    assert np.max(np.abs(tape.grad(omega)[0] - want)) <= BOUND
+    assert np.max(np.abs(tape.grad(phi)[0] - want)) <= BOUND
+
+
+def test_poles_give_exact_limits():
+    """At the doubles nearest (2k + 1) pi, tau is huge but finite: sin is
+    the tiny residual np.sin gives and cos is -1."""
+    k = np.arange(-POLE_K - 1, POLE_K + 1)
+    rows, omega, phi = _angle_rows(np.r_[0.0, (2 * k + 1) * np.pi])
+    emb, slope = tensor._time2vec(rows, omega, phi, keep_slope=True)
+    assert np.all(np.isfinite(emb)) and np.all(np.isfinite(slope))
+    assert np.max(np.abs(emb[0, 0, 1:] - np.sin(omega[0, 1:]))) <= 1e-27
+    assert np.all(slope[0, 0, 1:] == -1.0)
+
+
+def test_forward_only_keeps_no_slope_and_equal_embedding():
+    rng = np.random.default_rng(7)
+    rows = tensor._time2vec_rows(rng.uniform(0.0, 1.0, 50))
+    omega, phi = rng.normal(0.0, 30.0, (4, 9)), rng.normal(0.0, 3.0, (4, 9))
+    emb, slope = tensor._time2vec(rows, omega, phi)
+    assert slope is None
+    emb_kept, slope_kept = tensor._time2vec(rows, omega, phi, keep_slope=True)
+    np.testing.assert_array_equal(emb, emb_kept)
+    assert slope_kept.shape == emb.shape
+    # the linear column equals the whole-angle product bit for bit
+    np.testing.assert_array_equal(emb[..., 0], (rows @ np.stack((omega, phi), axis=1))[..., 0])
+
+
+def _recompute_reference(helper):
+    """A ``_time2vec`` whose forward is the shipped one but whose slope is
+    recomputed from the angles with np.cos, as a backward without a kept
+    slope would compute it."""
+
+    def reference(tk, od, pd, keep_slope=False):
+        emb, _ = helper(tk, od, pd)
+        if not keep_slope:
+            return emb, None
+        slope = tk @ np.stack((od, pd), axis=1)
+        np.cos(slope[..., 1:], out=slope[..., 1:])
+        slope[..., 0] = 1.0
+        return emb, slope
+
+    return reference
+
+
+def _group_gradients(config, group, params):
+    with Tape() as tape:
+        logits = model.forward(group, params, config)
+        tape.backward(bce_with_logits(logits, group.labels, config.pos_weight))
+    return {name: tape.grad(t) for name, t in params.flat().items()}
+
+
+@pytest.mark.parametrize("modality", ["fused", "ts"])
+def test_kept_slope_gradients_equal_recompute_reference(monkeypatch, modality):
+    """Every parameter gradient of a default-config group of 8 (both
+    ``time_embedding`` of the grid and ``segment_time_attention`` of the
+    keys on the path) equals the gradient from recomputed angles."""
+    config = model.RunConfig(seed=0, modality=modality, ts_embed="utde")
+    episodes = data.generate_synthetic(data.GenConfig(n_episodes=8, task="xor_fusion", seed=5))
+    normed, stats = data.normalize(episodes, alpha_hours=config.alpha_hours, n_features=config.n_features)
+    group = model.collate([model.prepare_episode(ep, config, stats) for ep in normed])
+    params = model.init_model(config)
+
+    kept = _group_gradients(config, group, params)
+    monkeypatch.setattr(tensor, "_time2vec", _recompute_reference(tensor._time2vec))
+    recomputed = _group_gradients(config, group, params)
+
+    assert np.any(kept["bank.omega"] != 0.0)
+    for name, g in kept.items():
+        assert np.max(np.abs(g - recomputed[name]), initial=0.0) <= BOUND, name
