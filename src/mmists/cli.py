@@ -5,7 +5,9 @@ RunConfig fields; every key can be overridden by the matching ``--key value``
 flag. Exit codes: 0 success, 2 configuration error (an invalid value, or a
 ``--config`` file that is missing, a directory, unreadable or not UTF-8),
 3 data error (bad data, or any other named path that cannot be read or
-written), 4 numerical failure. Each failure prints one line to stderr.
+written), 4 numerical failure. Each failure prints one line to stderr. An
+output path that is a directory, or whose directory does not exist, is
+rejected before any data is loaded or model trained.
 """
 
 from __future__ import annotations
@@ -132,6 +134,13 @@ def _require(config: RunConfig, *keys: str) -> None:
             raise ConfigError(f"{key} is required (set it in the config file or via {flag})")
 
 
+def _check_output_path(path) -> None:
+    """DataError when ``path`` is a directory or its directory does not exist."""
+    p = Path(path)
+    if p.is_dir() or not p.parent.is_dir():
+        raise DataError(f"output path {path} {'is a directory' if p.is_dir() else 'is in a missing directory'}")
+
+
 # ------------------------------------------------------------------ commands
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -153,6 +162,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     _require(config, "train_path", "val_path", "checkpoint_path")
+    for path in (config.checkpoint_path, config.stats_path):
+        if path:
+            _check_output_path(path)
     schema = _schema(config)
     train_eps = load_episodes(config.train_path, schema)
     val_eps = load_episodes(config.val_path, schema)
@@ -168,6 +180,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_output_path(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     episodes = load_episodes(args.data, _schema(ckpt.config))
     report = evaluate(ckpt, episodes)
@@ -180,6 +194,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _check_output_path(args.out)
     ckpt = load_checkpoint(args.checkpoint)
     episodes = load_episodes(args.data, _schema(ckpt.config))
     rows = predict(ckpt, episodes)

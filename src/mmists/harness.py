@@ -6,12 +6,15 @@ mini-batch is processed in groups of GROUP_SIZE episodes in batch order, one
 tape per group with its loss weighted by its share of the batch, so the
 summed gradients are the batch mean; scoring runs in the same groups. The
 best validation snapshot is kept with earliest-epoch tie-breaking.
+
+``adam_init`` packs the parameters into one flat buffer; each group's backward
+adds into views of the optimizer's gradient buffer, and the best snapshot is
+one copy of the parameter buffer, made only before a step would change it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import logging
 import math
@@ -36,7 +39,7 @@ from .model import (
     prepare_episode,
 )
 from .mtand import mtand_ts
-from .tensor import Tape, Tensor, adam_init, adam_step, bce_with_logits
+from .tensor import Tape, Tensor, adam_init, adam_step, adopt, bce_with_logits
 from .tensor import _sigmoid as _sigmoid_np
 
 log = logging.getLogger(__name__)
@@ -76,7 +79,8 @@ class NumericalError(RuntimeError):
 class Checkpoint:
     """Best-validation parameter snapshot plus everything needed to rerun it."""
 
-    arrays: dict[str, np.ndarray]  # flat parameter name -> value copy
+    buffer: np.ndarray  # every parameter value, flat, in index order
+    index: list[tuple[str, tuple[int, ...]]]  # (flat parameter name, shape), in ModelParams.flat() order
     config: RunConfig
     stats: NormalizationStats
     epoch: int
@@ -84,26 +88,22 @@ class Checkpoint:
     metric_value: float
 
     def build_params(self) -> ModelParams:
+        """The config's model holding a copy of ``buffer``; DataError if the index disagrees."""
         params = model_skeleton(self.config)
-        load_arrays(params, self.arrays)
+        flat = params.flat()
+        _check_index(self.index, [(name, t.shape) for name, t in flat.items()])
+        adopt(list(flat.values()), self.buffer.copy())
         return params
 
 
-def snapshot_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in params.flat().items()}
-
-
-def load_arrays(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
-    flat = params.flat()
-    if set(flat) != set(arrays):
-        odd = set(flat) ^ set(arrays)
-        raise DataError(f"checkpoint parameters do not match the model: {sorted(odd)[:4]}")
-    for name, t in flat.items():
-        if t.data.shape != arrays[name].shape:
-            raise DataError(
-                f"checkpoint entry {name} has shape {arrays[name].shape}, model expects {t.data.shape}"
-            )
-        t.data[...] = arrays[name]
+def _check_index(index: list, layout: list) -> None:
+    """Raise DataError naming the first entry where a checkpoint's (name,
+    shape) index and the model's parameter layout disagree."""
+    if index != layout:
+        at = next(i for i, (a, b) in enumerate(zip([*index, None], [*layout, None])) if a != b)
+        listed = f"entry {index[at][0]} {index[at][1]}" if at < len(index) else "no entry"
+        built = f"parameter {layout[at][0]} {layout[at][1]}" if at < len(layout) else "no parameter"
+        raise DataError(f"checkpoint index lists {listed} where the model has {built}")
 
 
 # Version 2 stores every parameter in one float64 buffer, in the order the
@@ -111,6 +111,7 @@ def load_arrays(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
 # npz members instead of one per parameter tensor.
 CHECKPOINT_FORMAT = 2
 _FIXED_ZIP_TIME = (1980, 1, 1, 0, 0, 0)  # member timestamps, so equal checkpoints give equal bytes
+_READ_BYTES = 1 << 18
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -126,7 +127,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "epoch": ckpt.epoch,
         "metric_name": ckpt.metric_name,
         "metric_value": ckpt.metric_value,
-        "index": [[name, list(value.shape)] for name, value in ckpt.arrays.items()],
+        "index": [[name, list(shape)] for name, shape in ckpt.index],
     }
     # np.savez stamps each member with the current time; an npz written with
     # a fixed stamp loads the same way through np.load
@@ -136,23 +137,16 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             np.lib.format.write_array(member, meta_bytes, allow_pickle=False)
         params = zipfile.ZipInfo("params.npy", date_time=_FIXED_ZIP_TIME)
         with bundle.open(params, "w", force_zip64=True) as member:
-            # the buffer is streamed one parameter at a time: concatenating
-            # it first would hold a second copy of every parameter
-            size = sum(value.size for value in ckpt.arrays.values())
-            header = {"descr": "<f8", "fortran_order": False, "shape": (size,)}
+            header = {"descr": "<f8", "fortran_order": False, "shape": (ckpt.buffer.size,)}
             np.lib.format.write_array_header_1_0(member, header)
-            for value in ckpt.arrays.values():
-                member.write(np.ascontiguousarray(value, dtype="<f8").data)
+            member.write(np.ascontiguousarray(ckpt.buffer, dtype="<f8").data)
 
 
-def _read_params(bundle: zipfile.ZipFile, index) -> dict[str, np.ndarray]:
-    """Read the parameter buffer into one array per (name, shape) index entry;
-    one array for the whole buffer would be a second copy of every parameter
-    at its peak."""
-    shapes = [(str(name), tuple(int(n) for n in dims)) for name, dims in index]
-    if any(n < 0 for _, dims in shapes for n in dims):
+def _read_params(bundle: zipfile.ZipFile, index: list[tuple[str, tuple[int, ...]]]) -> np.ndarray:
+    """Read the parameter buffer, checked against the index, into one array."""
+    if any(n < 0 for _, dims in index for n in dims):
         raise ValueError("checkpoint index has a negative dimension")
-    listed = sum(math.prod(dims) for _, dims in shapes)
+    listed = sum(math.prod(dims) for _, dims in index)
     with bundle.open("params.npy") as member:
         version = np.lib.format.read_magic(member)
         if version != (1, 0):  # what save_checkpoint and np.savez write for a 1-d array
@@ -163,12 +157,12 @@ def _read_params(bundle: zipfile.ZipFile, index) -> dict[str, np.ndarray]:
             raise ValueError(
                 f"parameter buffer is {dtype} {shape} in {stored} bytes; the index lists {listed} values"
             )
-        payload = io.BufferedReader(member, buffer_size=1 << 18)  # few, large reads of the zip member
-        arrays = {}
-        for name, dims in shapes:
-            value = arrays[name] = np.empty(dims)
-            payload.readinto(memoryview(value).cast("B"))
-    return arrays
+        buffer = np.empty(listed)
+        view = memoryview(buffer).cast("B")
+        for at in range(0, stored, _READ_BYTES):  # a zip member reads via a temporary of the request's size
+            if member.readinto(view[at : at + _READ_BYTES]) != min(_READ_BYTES, stored - at):
+                raise ValueError("parameter buffer is truncated")
+    return buffer
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -181,7 +175,8 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(
                     f"checkpoint format version {version}, this release reads {CHECKPOINT_FORMAT}"
                 )
-            arrays = _read_params(bundle, meta["index"])
+            index = [(str(name), tuple(int(n) for n in dims)) for name, dims in meta["index"]]
+            buffer = _read_params(bundle, index)
         stats = NormalizationStats(
             feature_min=np.asarray(meta["stats"]["min"], dtype=np.float64),
             feature_max=np.asarray(meta["stats"]["max"], dtype=np.float64),
@@ -189,7 +184,8 @@ def load_checkpoint(path) -> Checkpoint:
             alpha_hours=float(meta["stats"]["alpha_hours"]),
         )
         return Checkpoint(
-            arrays=arrays,
+            buffer=buffer,
+            index=index,
             config=RunConfig(**meta["config"]).validate(),
             stats=stats,
             epoch=int(meta["epoch"]),
@@ -267,6 +263,7 @@ def train(
     params = init_model(config)
     flat = params.flat()
     opt = adam_init(flat, lr=config.lr)
+    into = {t: opt.grads[name] for name, t in flat.items()}
     metric_name = "f1" if config.task == "binary" else "macro_f1"
 
     val_prepared = _prepare_split(config, stats, val_episodes)
@@ -276,7 +273,7 @@ def train(
         return _selection_metric(scores, labels, config.task)
 
     best_value = val_metric()
-    best_arrays = snapshot_arrays(params)
+    best_buffer = None  # the best parameters are the current ones, copied only before they change
     best_epoch = 0
     if val_trace is not None:
         val_trace.append(best_value)
@@ -290,7 +287,7 @@ def train(
         epoch_losses = []
         for batch_index, start in enumerate(range(0, n, batch)):
             chunk = [prepared[i] for i in order[start : start + batch]]
-            grads: dict[str, np.ndarray] = {}
+            opt.grad_buffer.fill(0.0)
             batch_loss = 0.0
             for _, group in _groups(chunk):
                 share = len(group) / len(chunk)
@@ -298,24 +295,19 @@ def train(
                 with Tape() as tape:
                     logits = forward(episodes, params, config)
                     loss = bce_with_logits(logits, episodes.labels, config.pos_weight)
-                    tape.backward(loss * share, into={flat[name]: g for name, g in grads.items()})
+                    tape.backward(loss * share, into=into)
                 batch_loss += loss.item() * share
-                for name, t in flat.items():
-                    if name not in grads:
-                        g = tape.grad_or_none(t)
-                        if g is not None:
-                            grads[name] = g
             if not np.isfinite(batch_loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index} (lr={config.lr})"
                 )
             if config.grad_clip is not None:
-                total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+                total = math.sqrt(float(np.dot(opt.grad_buffer, opt.grad_buffer)))
                 if total > config.grad_clip:
-                    scale = config.grad_clip / total
-                    for g in grads.values():
-                        g *= scale
-            adam_step(flat, grads, opt)
+                    opt.grad_buffer *= config.grad_clip / total
+            if best_buffer is None:
+                best_buffer = opt.param_buffer.copy()
+            adam_step(flat, opt)
             epoch_losses.append(batch_loss)
             if loss_trace is not None:
                 loss_trace.append(batch_loss)
@@ -327,11 +319,12 @@ def train(
         )
         if value > best_value:
             best_value = value
-            best_arrays = snapshot_arrays(params)
+            best_buffer = None
             best_epoch = epoch
 
     return Checkpoint(
-        arrays=best_arrays,
+        buffer=opt.param_buffer if best_buffer is None else best_buffer,
+        index=[(name, t.shape) for name, t in flat.items()],
         config=config,
         stats=stats,
         epoch=best_epoch,
@@ -362,8 +355,8 @@ def predict(ckpt: Checkpoint, episodes: list[Episode]) -> list[tuple[str, np.nda
 def gate_summary(ckpt: Checkpoint, episodes: list[Episode]) -> list[tuple[str, float]]:
     """Mean blend-gate activation per episode, for gated time-series runs."""
     config = ckpt.config
-    if config.ts_embed != "utde":
-        raise ConfigError(f"gate summary needs ts_embed='utde', got {config.ts_embed!r}")
+    if config.ts_embed != "utde" or config.modality == "txt":  # a txt model builds no gate
+        raise ConfigError(f"gate summary needs a utde time-series stream, got {config.modality}/{config.ts_embed}")
     if not episodes:
         raise DataError("cannot summarize an empty episode list")
     params = ckpt.build_params()

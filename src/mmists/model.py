@@ -1,6 +1,11 @@
 """Model assembly: run configuration, parameter construction, episode
 preparation, and the forward passes for fused and single-modality variants.
 
+A model builds only what its variant runs: the time-series stream (conv,
+mTAND and gate, as ``ts_embed`` asks) for fused/ts, the text stream (mTAND of
+notes or the padded-note projection) for fused/txt, the shared bank when
+either runs mTAND, and its modality's backbone and head; other fields are None.
+
 Each component's parameters are initialized from a generator seeded by
 (run seed, component id), so components shared between model variants start
 bit-identical regardless of which other components a variant instantiates.
@@ -169,29 +174,30 @@ class RunConfig:
 
 @dataclass
 class ModelParams:
-    """All parameters for every variant; unused components simply receive zero gradients."""
+    """The parameters of one model variant; components it does not run are None."""
 
-    bank: Time2VecBank  # shared time-embedding bank (listed first so it owns its flat names)
-    conv_kernel: Tensor
-    conv_bias: Tensor
-    ts_interp: MtandParams
-    txt_interp: MtandParams
-    gate: GateParams
-    note_proj_w: Tensor
-    note_proj_b: Tensor
-    fusion_layers: list[FusionLayerParams]
-    fused_ln_ts: LayerNormParams
-    fused_ln_txt: LayerNormParams
-    fused_head: ClassifierParams
-    ts_stack: list[SingleLayerParams]
-    ts_ln: LayerNormParams
-    ts_head: ClassifierParams
-    txt_stack: list[SingleLayerParams]
-    txt_ln: LayerNormParams
-    txt_head: ClassifierParams
+    bank: Time2VecBank | None = None  # shared time-embedding bank (listed first so it owns its flat names)
+    conv_kernel: Tensor | None = None
+    conv_bias: Tensor | None = None
+    ts_interp: MtandParams | None = None
+    txt_interp: MtandParams | None = None
+    gate: GateParams | None = None
+    note_proj_w: Tensor | None = None
+    note_proj_b: Tensor | None = None
+    fusion_layers: list[FusionLayerParams] | None = None
+    fused_ln_ts: LayerNormParams | None = None
+    fused_ln_txt: LayerNormParams | None = None
+    fused_head: ClassifierParams | None = None
+    ts_stack: list[SingleLayerParams] | None = None
+    ts_ln: LayerNormParams | None = None
+    ts_head: ClassifierParams | None = None
+    txt_stack: list[SingleLayerParams] | None = None
+    txt_ln: LayerNormParams | None = None
+    txt_head: ClassifierParams | None = None
 
     def flat(self) -> dict[str, Tensor]:
-        """Stable name -> Tensor map; shared tensors appear once, under their first name."""
+        """Stable name -> Tensor map of the built tensors; shared tensors
+        appear once, under their first name."""
         out: dict[str, Tensor] = {}
         seen: set[int] = set()
 
@@ -254,34 +260,38 @@ def model_skeleton(config: RunConfig) -> ModelParams:
 
 
 def _build_model(c: RunConfig, rng_for) -> ModelParams:
-    bank = init_time2vec_bank(rng_for("bank"), c.time_heads, c.d_timeembed)
-    kernel = Tensor(
-        rng_for("conv").normal(0.0, (c.conv_kernel * c.n_features) ** -0.5, size=(c.conv_kernel, c.n_features, c.d_hidden))
-    )
-    note_rng = rng_for("note_proj")
-    fusion_rng = rng_for("fusion")
-    ts_rng = rng_for("ts_stack")
-    txt_rng = rng_for("txt_stack")
-    return ModelParams(
-        bank=bank,
-        conv_kernel=kernel,
-        conv_bias=Tensor(np.zeros(c.d_hidden)),
-        ts_interp=init_mtand_params(rng_for("ts_interp"), bank, c.n_features, c.d_hidden),
-        txt_interp=init_mtand_params(rng_for("txt_interp"), bank, c.text_dim, c.d_hidden),
-        gate=init_gate_params(rng_for("gate"), c.gate_level, c.d_hidden),
-        note_proj_w=Tensor(note_rng.normal(0.0, c.text_dim**-0.5, size=(c.text_dim, c.d_hidden))),
-        note_proj_b=Tensor(np.zeros(c.d_hidden)),
-        fusion_layers=[init_fusion_layer(fusion_rng, c.d_hidden) for _ in range(c.fusion_layers)],
-        fused_ln_ts=init_layer_norm(c.d_hidden),
-        fused_ln_txt=init_layer_norm(c.d_hidden),
-        fused_head=init_classifier(rng_for("fused_head"), 2 * c.d_hidden, c.d_hidden, c.n_classes),
-        ts_stack=[init_single_layer(ts_rng, c.d_hidden) for _ in range(c.fusion_layers)],
-        ts_ln=init_layer_norm(c.d_hidden),
-        ts_head=init_classifier(rng_for("ts_head"), c.d_hidden, c.d_hidden, c.n_classes),
-        txt_stack=[init_single_layer(txt_rng, c.d_hidden) for _ in range(c.fusion_layers)],
-        txt_ln=init_layer_norm(c.d_hidden),
-        txt_head=init_classifier(rng_for("txt_head"), c.d_hidden, c.d_hidden, c.n_classes),
-    )
+    ts_stream = c.modality in ("fused", "ts")
+    txt_stream = c.modality in ("fused", "txt")
+    ts_mtand = ts_stream and c.ts_embed != "imputation"
+    txt_mtand = txt_stream and c.text_irregularity
+    p = ModelParams()
+    if ts_mtand or txt_mtand:
+        p.bank = init_time2vec_bank(rng_for("bank"), c.time_heads, c.d_timeembed)
+    if ts_stream and c.ts_embed != "mtand":
+        shape, scale = (c.conv_kernel, c.n_features, c.d_hidden), (c.conv_kernel * c.n_features) ** -0.5
+        p.conv_kernel = Tensor(rng_for("conv").normal(0.0, scale, size=shape))
+        p.conv_bias = Tensor(np.zeros(c.d_hidden))
+    if ts_mtand:
+        p.ts_interp = init_mtand_params(rng_for("ts_interp"), p.bank, c.n_features, c.d_hidden)
+    if txt_mtand:
+        p.txt_interp = init_mtand_params(rng_for("txt_interp"), p.bank, c.text_dim, c.d_hidden)
+    if ts_stream and c.ts_embed == "utde":
+        p.gate = init_gate_params(rng_for("gate"), c.gate_level, c.d_hidden)
+    if txt_stream and not c.text_irregularity:
+        p.note_proj_w = Tensor(rng_for("note_proj").normal(0.0, c.text_dim**-0.5, size=(c.text_dim, c.d_hidden)))
+        p.note_proj_b = Tensor(np.zeros(c.d_hidden))
+    if c.modality == "fused":
+        fusion_rng = rng_for("fusion")
+        p.fusion_layers = [init_fusion_layer(fusion_rng, c.d_hidden) for _ in range(c.fusion_layers)]
+        p.fused_ln_ts = init_layer_norm(c.d_hidden)
+        p.fused_ln_txt = init_layer_norm(c.d_hidden)
+        p.fused_head = init_classifier(rng_for("fused_head"), 2 * c.d_hidden, c.d_hidden, c.n_classes)
+    else:  # ts_stack, ts_ln, ts_head or their txt counterparts
+        m, stack_rng = c.modality, rng_for(f"{c.modality}_stack")
+        setattr(p, f"{m}_stack", [init_single_layer(stack_rng, c.d_hidden) for _ in range(c.fusion_layers)])
+        setattr(p, f"{m}_ln", init_layer_norm(c.d_hidden))
+        setattr(p, f"{m}_head", init_classifier(rng_for(f"{m}_head"), c.d_hidden, c.d_hidden, c.n_classes))
+    return p
 
 
 @dataclass

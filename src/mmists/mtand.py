@@ -16,8 +16,6 @@ gradients meet on one node.
 The time embeddings of the grid and of the keys come from ``tensor``'s
 Time2Vec helper: sin by the half-angle tangent, and, while a tape records, the
 kept slope that the backward multiplies by instead of recomputing the angles.
-The per-head reference path (``time2vec``, ``time_attention``) still uses the
-generic ``sin`` op.
 """
 
 from __future__ import annotations
@@ -31,42 +29,26 @@ import numpy as np
 from .imputation import ReferenceGrid
 from .tensor import (
     Tensor,
-    concat,
     linear,
-    masked_softmax,
     matmul,
-    narrow,
     reshape,
     segment_time_attention,
-    sin,
     swapaxes,
     time_embedding,
     transpose,
 )
 
 __all__ = [
-    "Time2VecParams",
     "Time2VecBank",
     "MtandParams",
     "PaddedSeries",
     "pad_series",
     "init_time2vec_bank",
     "init_mtand_params",
-    "bank_head",
-    "time2vec",
     "time2vec_heads",
-    "time_attention",
     "mtand_ts",
     "mtand_txt",
 ]
-
-@dataclass
-class Time2VecParams:
-    """One time-embedding head: dimension 0 is linear in time, the rest sinusoidal."""
-
-    omega: Tensor  # [d_v] frequencies (index 0: linear slope)
-    phi: Tensor  # [d_v] phases (index 0: linear intercept)
-
 
 @dataclass
 class Time2VecBank:
@@ -149,55 +131,9 @@ def init_mtand_params(
     )
 
 
-def bank_head(bank: Time2VecBank, v: int) -> Time2VecParams:
-    """View of head v; gradients flow back into the bank tensors."""
-    d_v = bank.d_v
-    return Time2VecParams(
-        omega=reshape(narrow(bank.omega, 0, v, 1), (d_v,)),
-        phi=reshape(narrow(bank.phi, 0, v, 1), (d_v,)),
-    )
-
-
-def time2vec(times: np.ndarray, params: Time2VecParams) -> Tensor:
-    """Embed times: column 0 = omega[0]*t + phi[0], columns i>=1 = sin(omega[i]*t + phi[i])."""
-    t_col = np.asarray(times, dtype=np.float64).reshape(-1, 1)
-    theta = params.omega * t_col + params.phi  # [n x d_v] by broadcast
-    d_v = params.omega.shape[0]
-    linear_part = narrow(theta, 1, 0, 1)
-    periodic = sin(narrow(theta, 1, 1, d_v - 1))
-    return concat([linear_part, periodic], axis=1)
-
-
 def time2vec_heads(times: np.ndarray, bank: Time2VecBank) -> Tensor:
     """All V heads at once: [V x n x d_v]."""
     return time_embedding(times, bank.omega, bank.phi)
-
-
-def time_attention(
-    grid: ReferenceGrid,
-    key_times: np.ndarray,
-    values,
-    params: MtandParams,
-    head: int,
-) -> Tensor:
-    """One head's interpolation: grid queries attend over observation keys.
-
-    values is [l x c] (Tensor or array). l = 0 returns zeros: with nothing to
-    attend over, the head contributes nothing.
-    """
-    key_times = np.asarray(key_times, dtype=np.float64)
-    values_data = values.data if isinstance(values, Tensor) else np.asarray(values, dtype=np.float64)
-    if key_times.size == 0:
-        return Tensor(np.zeros((grid.n_points, values_data.shape[1] if values_data.ndim == 2 else 1)))
-    d_v = params.bank.d_v
-    head_params = bank_head(params.bank, head)
-    w_q = reshape(narrow(params.w_query, 0, head, 1), (d_v, d_v))
-    w_k = reshape(narrow(params.w_key, 0, head, 1), (d_v, d_v))
-    q = matmul(time2vec(grid.points, head_params), w_q)  # [alpha x d_v]
-    k = matmul(time2vec(key_times, head_params), w_k)  # [l x d_v]
-    scores = matmul(q, swapaxes(k, 0, 1)) * (d_v**-0.5)
-    weights, _ = masked_softmax(scores, None)
-    return matmul(weights, values)
 
 
 def _interpolate(

@@ -17,13 +17,17 @@ of the half angle, which numpy runs as a SIMD loop where its float64
 slope of each column (1, or cos by the same tangent), so the backward is one
 product with the kept slope and computes no transcendental; forward-only
 calls keep nothing extra. The generic ``sin`` op stays on ``np.sin``.
+
+``pack`` moves tensors' values into one flat buffer, each tensor's ``data`` a
+view of its slice, and ``adopt`` hands tensors an existing one. Adam packs its
+parameters and sweeps them, their gradient and moments in cache-sized chunks.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -33,6 +37,9 @@ __all__ = [
     "Tensor",
     "Tape",
     "AdamState",
+    "pack",
+    "adopt",
+    "buffer_views",
     "adam_init",
     "adam_step",
     "matmul",
@@ -871,63 +878,99 @@ def bce_with_logits(logits: Tensor, targets, pos_weight: float = 1.0) -> Tensor:
     return out
 
 
+def buffer_views(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of the 1-d ``buffer`` with the given shapes, which
+    must cover it whole."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if sum(sizes) != buffer.size:
+        raise ShapeError(f"shapes cover {sum(sizes)} values, the buffer holds {buffer.size}")
+    ends = np.cumsum([0] + sizes).tolist()
+    return [buffer[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
+
+
+def adopt(tensors: Sequence[Tensor], buffer: np.ndarray) -> None:
+    """Make each tensor's ``data`` the next consecutive view of ``buffer``
+    (1-d float64, covered whole), so the tensors take the buffer's values."""
+    for t, view in zip(tensors, buffer_views(buffer, [t.shape for t in tensors])):
+        t.data = view
+
+
+def pack(tensors: Sequence[Tensor]) -> np.ndarray:
+    """Copy the tensors' values, in order, into one new contiguous float64
+    buffer and make each tensor's ``data`` a view of its slice."""
+    buffer = np.concatenate([t.data.reshape(-1) for t in tensors]) if tensors else np.zeros(0)
+    adopt(tensors, buffer)
+    return buffer
+
+
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus hyperparameters."""
+    """The parameters' flat buffer, a gradient buffer and the first/second
+    moments in the same layout, plus hyperparameters."""
 
+    param_buffer: np.ndarray
+    grad_buffer: np.ndarray
+    grads: dict[str, np.ndarray]  # parameter name -> view of its slice of grad_buffer
     lr: float = 4e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    # allocated, zero, at the first step: a state that never steps holds none
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
 
 
 def adam_init(params: dict[str, Tensor], lr: float = 4e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    """Fresh optimizer state. Moments are allocated per parameter at its first
-    gradient, so parameters that never get one cost no memory."""
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    """Fresh optimizer state. The parameters are ``pack``ed into one flat
+    buffer, which the state keeps with a zero gradient buffer of its layout."""
+    flat = pack(list(params.values()))
+    grad = np.zeros(flat.size)
+    grads = dict(zip(params, buffer_views(grad, [t.shape for t in params.values()])))
+    return AdamState(flat, grad, grads, lr, beta1, beta2, eps)
+
+
+# Elements per Adam pass: the chunk's parameter, gradient, moments and two
+# scratch arrays (6 x 256 KB) stay in cache across the update's 12 passes.
+_ADAM_CHUNK = 1 << 15
 
 
 def adam_step(
     params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
     state: AdamState,
     skip: set[str] | None = None,
 ) -> tuple[dict[str, Tensor], AdamState]:
-    """One bias-corrected Adam update, in place; missing grads count as zero.
+    """One bias-corrected Adam update, in place, from ``state.grad_buffer``.
 
-    A parameter that has never had a gradient has zero moments, so its update
-    is exactly zero: it is skipped and gets no moment arrays.
+    ``params`` is the mapping ``adam_init`` packed; the caller writes the
+    gradients into ``state.grads`` (zero for a parameter without one). The
+    update sweeps the flat parameter, gradient and moment buffers in chunks of
+    ``_ADAM_CHUNK`` elements. Every parameter has zero moments before its
+    first gradient, so until then its update is exactly zero. The parameters
+    named in ``skip`` keep their values and moments.
 
-    The update runs through two scratch buffers, sized once for the largest
-    parameter, so a step allocates no per-parameter temporaries. The
-    operations and their order are those of the textbook expressions
+    The operations and their order are those of the textbook expressions
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2`` and
     ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``, so the result is bit-identical.
     """
+    size = state.param_buffer.size
+    if state.first_moment is None:
+        state.first_moment, state.second_moment = np.zeros(size), np.zeros(size)
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    largest = max((p.data.size for p in params.values()), default=0)
-    step_buf, denom_buf = np.empty(largest), np.empty(largest)
-    for name, p in params.items():
-        if skip is not None and name in skip:
-            continue
-        g = grads.get(name)
-        m = state.first_moment.get(name)
-        if m is None:
-            if g is None:
-                continue
-            m = state.first_moment[name] = np.zeros_like(p.data)
-            state.second_moment[name] = np.zeros_like(p.data)
-        if g is None:
-            g = np.zeros_like(p.data)
-        v = state.second_moment[name]
-        step = step_buf[: p.data.size].reshape(p.data.shape)
-        denom = denom_buf[: p.data.size].reshape(p.data.shape)
+    buffers = (state.param_buffer, state.first_moment, state.second_moment)
+    frozen, offset = [], 0  # (slice, its values in buffers) of each skipped parameter
+    for name, p in params.items() if skip else ():
+        if name in skip:
+            frozen.append((s := slice(offset, offset + p.data.size), [buf[s].copy() for buf in buffers]))
+        offset += p.data.size
+    step_buf, denom_buf = np.empty(min(size, _ADAM_CHUNK)), np.empty(min(size, _ADAM_CHUNK))
+    for a in range(0, size, _ADAM_CHUNK):
+        b = min(a + _ADAM_CHUNK, size)
+        m, v, g = state.first_moment[a:b], state.second_moment[a:b], state.grad_buffer[a:b]
+        step, denom = step_buf[: b - a], denom_buf[: b - a]
         m *= state.beta1
         m += np.multiply(1.0 - state.beta1, g, out=step)
         v *= state.beta2
@@ -939,7 +982,10 @@ def adam_step(
         np.sqrt(denom, out=denom)
         denom += state.eps
         step /= denom
-        p.data -= step
+        state.param_buffer[a:b] -= step
+    for s, kept in frozen:
+        for buf, values in zip(buffers, kept):
+            buf[s] = values
     return params, state
 
 

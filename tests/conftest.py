@@ -8,6 +8,9 @@ reporter at the end of the run, where they always reach the console.
 Hypothesis settings come from the profile named by ``HYPOTHESIS_PROFILE``:
 ``ci`` prints the reproduction blob of a failing example; example counts and
 deadlines stay as each test sets them.
+
+``checkpoint_arrays`` gives the tests a name -> view map of a checkpoint's
+parameter buffer.
 """
 
 import os
@@ -21,6 +24,13 @@ else:
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 CRITERION_LINES: list[str] = []
+
+
+def checkpoint_arrays(ckpt) -> dict:
+    """Flat parameter name -> view of its values in ``ckpt.buffer``."""
+    from mmists.tensor import buffer_views
+
+    return dict(zip((name for name, _ in ckpt.index), buffer_views(ckpt.buffer, [s for _, s in ckpt.index])))
 
 
 def record_criterion_line(line: str) -> None:

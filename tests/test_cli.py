@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from mmists import cli
 from mmists.cli import build_parser, build_run_config, main, read_config_file
 from mmists.data import TaskSchema, load_episodes
 from mmists.harness import load_checkpoint, save_checkpoint
 from mmists.model import ConfigError
+
+from conftest import checkpoint_arrays
 
 
 SMALL_KEYS = {
@@ -198,13 +201,45 @@ def test_config_file_that_is_missing_or_not_utf8_exits_2(tmp_path, dataset, caps
         _one_line_error(capsys, "config error: cannot read config file")
 
 
-def test_checkpoint_path_that_is_a_directory_exits_3(tmp_path, dataset, capsys):
+def _never_reached(*args, **kwargs):
+    raise AssertionError("the command went on past an output path it cannot write")
+
+
+def test_checkpoint_path_that_is_a_directory_exits_3(tmp_path, dataset, capsys, monkeypatch):
     train_path, val_path, _ = dataset
+    monkeypatch.setattr(cli, "train", _never_reached)
     rc = main(["train", "--config", str(write_config(tmp_path)), "--seed", "0",
                "--train-path", str(train_path), "--val-path", str(val_path),
                "--checkpoint-path", str(tmp_path)])
     assert rc == 3
     _one_line_error(capsys, "data error:")
+
+
+@pytest.mark.parametrize(
+    "flag, where",
+    [("--checkpoint-path", "missing-dir"), ("--stats-path", "directory"), ("--stats-path", "missing-dir")],
+)
+def test_unwritable_train_output_exits_3_before_loading_data(tmp_path, dataset, capsys, monkeypatch, flag, where):
+    train_path, val_path, _ = dataset
+    monkeypatch.setattr(cli, "load_episodes", _never_reached)
+    monkeypatch.setattr(cli, "train", _never_reached)
+    target = tmp_path if where == "directory" else tmp_path / "absent" / "out"
+    args = {"--checkpoint-path": str(tmp_path / "x.ckpt"), flag: str(target)}
+    rc = main(["train", "--config", str(write_config(tmp_path)), "--seed", "0",
+               "--train-path", str(train_path), "--val-path", str(val_path),
+               *[item for pair in args.items() for item in pair]])
+    assert rc == 3
+    _one_line_error(capsys, "data error: output path")
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_out_in_a_missing_directory_exits_3_before_loading(tmp_path, dataset, capsys, monkeypatch, command):
+    _, _, test_path = dataset
+    monkeypatch.setattr(cli, "load_checkpoint", _never_reached)
+    rc = main([command, "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(test_path),
+               "--out", str(tmp_path / "absent" / "out.jsonl")])
+    assert rc == 3
+    _one_line_error(capsys, "data error: output path")
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +306,7 @@ def test_non_finite_score_exits_4(tmp_path, dataset):
                  "--train-path", str(train_path), "--val-path", str(val_path),
                  "--checkpoint-path", str(ckpt_path)]) == 0
     ckpt = load_checkpoint(ckpt_path)
-    ckpt.arrays["ts_head.b_out"][:] = np.nan
+    checkpoint_arrays(ckpt)["ts_head.b_out"][:] = np.nan
     save_checkpoint(ckpt_path, ckpt)
     assert main(["eval", "--checkpoint", str(ckpt_path), "--data", str(test_path)]) == 4
     assert main(["predict", "--checkpoint", str(ckpt_path), "--data", str(test_path),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mmists import harness, model
-from mmists.data import DataError, GenConfig, generate_synthetic, normalize
+from mmists.data import DataError, GenConfig, generate_synthetic, normalize, save_episodes
 from mmists.harness import (
     Checkpoint,
     NumericalError,
@@ -18,12 +18,13 @@ from mmists.harness import (
     predict,
     run_seeds,
     save_checkpoint,
-    snapshot_arrays,
     train,
 )
 from mmists.metrics import EvalReport, evaluate_scores
 from mmists.model import ConfigError, RunConfig, forward, init_model, prepare_episode
 from mmists.tensor import Tape, bce_with_logits
+
+from conftest import checkpoint_arrays
 
 
 SMALL = dict(
@@ -61,10 +62,10 @@ def test_epochs_zero_returns_scored_initialization(splits):
     config = small_config(epochs=0)
     ckpt = train(config, tr, va)
     assert ckpt.epoch == 0
-    init_arrays = snapshot_arrays(init_model(config))
-    assert set(ckpt.arrays) == set(init_arrays)
-    for name in init_arrays:
-        np.testing.assert_array_equal(ckpt.arrays[name], init_arrays[name])
+    init_flat, arrays = init_model(config).flat(), checkpoint_arrays(ckpt)
+    assert list(arrays) == list(init_flat)
+    for name, t in init_flat.items():
+        np.testing.assert_array_equal(arrays[name], t.data)
     # the stored metric really is the validation score of the initialization
     assert ckpt.metric_name == "f1"
     assert evaluate(ckpt, va).f1 == ckpt.metric_value
@@ -132,9 +133,9 @@ def test_batch_gradient_is_mean_of_episode_gradients(splits, monkeypatch):
     config = small_config(batch_size=len(episodes), epochs=1)
     stepped = []
 
-    def recording_step(params, grads, state, *args, **kwargs):
-        stepped.append({name: g.copy() for name, g in grads.items()})
-        return adam_step(params, grads, state, *args, **kwargs)
+    def recording_step(params, state, *args, **kwargs):
+        stepped.append({name: g.copy() for name, g in state.grads.items()})
+        return adam_step(params, state, *args, **kwargs)
 
     adam_step = harness.adam_step
     monkeypatch.setattr(harness, "adam_step", recording_step)
@@ -214,9 +215,10 @@ def test_checkpoint_save_load_round_trip(tmp_path, splits):
     save_checkpoint(path, ckpt)
     loaded = load_checkpoint(path)
 
-    assert set(loaded.arrays) == set(ckpt.arrays)
-    for name in ckpt.arrays:
-        np.testing.assert_array_equal(loaded.arrays[name], ckpt.arrays[name])
+    arrays, loaded_arrays = checkpoint_arrays(ckpt), checkpoint_arrays(loaded)
+    assert set(loaded_arrays) == set(arrays)
+    for name in arrays:
+        np.testing.assert_array_equal(loaded_arrays[name], arrays[name])
     assert loaded.config == ckpt.config
     assert loaded.epoch == ckpt.epoch
     assert loaded.metric_name == ckpt.metric_name
@@ -240,10 +242,10 @@ def test_build_params_fills_the_checkpoint_without_a_random_init(splits, monkeyp
 
     monkeypatch.setattr(model, "_component_rng", no_draws)
     params = ckpt.build_params()
-    flat = params.flat()
-    assert flat.keys() == ckpt.arrays.keys()
+    flat, arrays = params.flat(), checkpoint_arrays(ckpt)
+    assert flat.keys() == arrays.keys()
     for name, t in flat.items():
-        np.testing.assert_array_equal(t.data, ckpt.arrays[name])
+        np.testing.assert_array_equal(t.data, arrays[name])
     assert params.ts_interp.bank is params.txt_interp.bank
 
 
@@ -254,17 +256,18 @@ def test_checkpoint_is_one_parameter_buffer_with_reproducible_bytes(tmp_path, sp
     save_checkpoint(first, ckpt)
     save_checkpoint(second, load_checkpoint(first))
     assert first.read_bytes() == second.read_bytes()
+    arrays = checkpoint_arrays(ckpt)
     with np.load(first) as bundle:
         assert sorted(bundle.files) == ["meta", "params"]
         meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
         assert meta["format_version"] == 2
-        assert [name for name, _ in meta["index"]] == list(ckpt.arrays)
-        assert bundle["params"].size == sum(a.size for a in ckpt.arrays.values())
-    loaded = load_checkpoint(first)
-    assert list(loaded.arrays) == list(ckpt.arrays)
-    for name, value in ckpt.arrays.items():
-        assert loaded.arrays[name].dtype == np.float64
-        np.testing.assert_array_equal(loaded.arrays[name], value)
+        assert [name for name, _ in meta["index"]] == list(arrays)
+        assert bundle["params"].size == sum(a.size for a in arrays.values())
+    loaded = checkpoint_arrays(load_checkpoint(first))
+    assert list(loaded) == list(arrays)
+    for name, value in arrays.items():
+        assert loaded[name].dtype == np.float64
+        np.testing.assert_array_equal(loaded[name], value)
 
 
 def _write_npz(path, **members) -> None:
@@ -280,7 +283,7 @@ def test_checkpoint_without_format_version_2_raises_data_error(tmp_path, splits)
     with np.load(path) as bundle:
         meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
     del meta["format_version"], meta["index"]
-    old = {f"param/{name}": value for name, value in ckpt.arrays.items()}  # one member per tensor
+    old = {f"param/{name}": value for name, value in checkpoint_arrays(ckpt).items()}  # one member per tensor
     _write_npz(path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **old)
     with pytest.raises(DataError, match="format version None"):
         load_checkpoint(path)
@@ -297,6 +300,81 @@ def test_checkpoint_buffer_disagreeing_with_its_index_raises_data_error(tmp_path
     _write_npz(path, meta=meta, params=params)
     with pytest.raises(DataError, match="unreadable checkpoint"):
         load_checkpoint(path)
+
+
+def _edit_parameters(path, edit) -> None:
+    """Rewrite a checkpoint through ``edit(index, values) -> (index, values)``,
+    keeping the buffer consistent with the index so the file itself loads."""
+    with np.load(path) as bundle:
+        meta, values = json.loads(bundle["meta"].tobytes().decode("utf-8")), bundle["params"]
+    meta["index"], values = edit(meta["index"], values)
+    _write_npz(path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), params=values)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda index, values: (index + [["ts_head.b_out", [1]]], np.append(values, 0.0)),
+         r"lists entry ts_head.b_out \(1,\) where the model has no parameter"),
+        (lambda index, values: (index[:-1], values[: -int(np.prod(index[-1][1]))]),
+         r"lists no entry where the model has parameter fused_head.b_out \(1,\)"),
+        (lambda index, values: (index[1:2] + index[:1] + index[2:], values),
+         "lists entry bank.phi .* where the model has parameter bank.omega"),
+    ],
+    ids=["superset", "subset", "reordered"],
+)
+def test_checkpoint_index_disagreeing_with_the_model_raises_data_error(tmp_path, splits, edit, message):
+    tr, va, te = splits
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, train(small_config(modality="fused", epochs=0), tr, va))
+    _edit_parameters(path, edit)
+    ckpt = load_checkpoint(path)
+    with pytest.raises(DataError, match=message):
+        ckpt.build_params()
+    with pytest.raises(DataError, match=message):
+        evaluate(ckpt, te)
+
+
+def all_variants_layout(config: RunConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every variant's parameters in ModelParams field order:
+    the index of a checkpoint from when every model built all three variants."""
+    flats = [
+        model.model_skeleton(dataclasses.replace(config, modality=m, text_irregularity=t)).flat()
+        for m in ("fused", "ts", "txt")
+        for t in (True, False)
+    ]
+    layout: dict[str, tuple[int, ...]] = {}
+    for field in dataclasses.fields(model.ModelParams):
+        for flat in flats:
+            entries = [(name, t.shape) for name, t in flat.items() if name.split(".")[0] == field.name]
+            if entries:
+                layout.update(entries)
+                break
+    return list(layout.items())
+
+
+def test_checkpoint_of_every_variant_raises_data_error_and_exits_3(tmp_path, splits, capsys):
+    from mmists.cli import main
+
+    tr, va, te = splits
+    config = RunConfig(seed=0, epochs=0)  # the default fused UTDE model
+    stats = normalize(tr, alpha_hours=config.alpha_hours, n_features=config.n_features)[1]
+    layout = all_variants_layout(config)
+    assert sum(int(np.prod(shape)) for _, shape in layout) == 861_764
+    ckpt = Checkpoint(
+        buffer=np.zeros(861_764), index=layout, config=config, stats=stats,
+        epoch=0, metric_name="f1", metric_value=0.0,
+    )
+    path = tmp_path / "all-variants.ckpt"
+    save_checkpoint(path, ckpt)
+    message = "checkpoint index lists entry note_proj_w"
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path).build_params()
+    data = tmp_path / "test.jsonl"
+    save_episodes(data, te)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {message}") and err.count("\n") == 1
 
 
 def test_corrupt_checkpoint_raises_data_error(tmp_path):
@@ -365,8 +443,9 @@ def test_zero_logits_predict_half(splits):
     config = small_config(epochs=0)
     ckpt = train(config, tr, va)
     # zero the classifier head: logit 0 -> probability exactly 0.5
+    arrays = checkpoint_arrays(ckpt)
     for name in ("ts_head.w_hidden", "ts_head.b_hidden", "ts_head.w_out", "ts_head.b_out"):
-        ckpt.arrays[name][...] = 0.0
+        arrays[name][...] = 0.0
     for _, scores in predict(ckpt, te):
         assert scores.tolist() == [0.5]
 
@@ -385,9 +464,10 @@ def test_gate_summary_reports_initial_half(splits):
 
 def test_gate_summary_requires_gated_embedding(splits):
     tr, va, te = splits
-    ckpt = train(small_config(ts_embed="imputation", epochs=0), tr, va)
-    with pytest.raises(ConfigError, match="utde"):
-        gate_summary(ckpt, te)
+    for overrides in (dict(ts_embed="imputation"), dict(modality="txt")):  # no gate is built
+        ckpt = train(small_config(epochs=0, **overrides), tr, va)
+        with pytest.raises(ConfigError, match="utde"):
+            gate_summary(ckpt, te)
 
 
 # ------------------------------------------------------------------ aggregation

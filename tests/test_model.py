@@ -1,6 +1,7 @@
 """Model assembly: config validation, seeded init, preparation, forward variants."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -127,16 +128,108 @@ class TestInit:
             if k.split(".")[0] in ("bank", "conv_kernel", "conv_bias", "ts_interp", "txt_interp", "gate"):
                 assert_array_equal(a[k].data, b[k].data)
 
-    def test_flat_covers_every_tensor_field(self):
-        params = init_model(small_config())
+    @pytest.mark.parametrize(
+        "overrides, names",
+        [
+            (dict(), ("bank.omega", "conv_kernel", "ts_interp.w_query", "txt_interp.w_out",
+                      "gate.w_hidden", "fusion_layers.0.ts_cross.w_q", "fused_head.w_out")),
+            (dict(text_irregularity=False), ("note_proj_w", "fusion_layers.1.txt_self.w_o")),
+            (dict(modality="ts"), ("bank.phi", "conv_bias", "ts_stack.1.ffn.w_in", "ts_head.b_out")),
+            (dict(modality="txt"), ("txt_interp.w_key", "txt_stack.0.self_attn.w_q", "txt_head.b_out")),
+        ],
+        ids=["fused", "fused-padded", "ts", "txt"],
+    )
+    def test_flat_covers_every_tensor_field(self, overrides, names):
+        params = init_model(small_config(**overrides))
         flat = params.flat()
-        assert len(flat) > 50
-        assert all(isinstance(t, Tensor) for t in flat.values())
-        # a representative of each component family
-        for name in ("bank.omega", "conv_kernel", "ts_interp.w_query", "txt_interp.w_out",
-                     "gate.w_hidden", "note_proj_w", "fusion_layers.0.ts_cross.w_q",
-                     "fused_head.w_out", "ts_stack.1.ffn.w_in", "txt_head.b_out"):
+        reachable = {}
+
+        def walk(obj):
+            if isinstance(obj, Tensor):
+                reachable[id(obj)] = obj
+            elif isinstance(obj, list):
+                for item in obj:
+                    walk(item)
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    walk(getattr(obj, f.name))
+
+        walk(params)
+        assert {id(t) for t in flat.values()} == set(reachable)
+        assert len(flat) == len(reachable) > 10
+        # a representative of each component family the variant runs
+        for name in names:
             assert name in flat, name
+
+
+def expected_components(modality, ts_embed, text_irregularity):
+    """The top-level ModelParams fields a variant runs, written out from the
+    forward paths: the time-series stream for fused/ts, the text stream for
+    fused/txt, the bank for either stream's mTAND, and one backbone."""
+    ts, txt = modality in ("fused", "ts"), modality in ("fused", "txt")
+    want = set()
+    if ts and ts_embed in ("utde", "imputation"):
+        want |= {"conv_kernel", "conv_bias"}
+    if ts and ts_embed in ("utde", "mtand"):
+        want |= {"bank", "ts_interp"}
+    if ts and ts_embed == "utde":
+        want.add("gate")
+    if txt and text_irregularity:
+        want |= {"bank", "txt_interp"}
+    if txt and not text_irregularity:
+        want |= {"note_proj_w", "note_proj_b"}
+    backbone = {
+        "fused": {"fusion_layers", "fused_ln_ts", "fused_ln_txt", "fused_head"},
+        "ts": {"ts_stack", "ts_ln", "ts_head"},
+        "txt": {"txt_stack", "txt_ln", "txt_head"},
+    }
+    return want | backbone[modality]
+
+
+VARIANTS = list(
+    itertools.product(("fused", "ts", "txt"), ("utde", "imputation", "mtand"), (True, False),
+                      ("patient", "temporal", "hidden"))
+)
+
+
+class TestScopedBuild:
+    @pytest.mark.parametrize(
+        "modality, ts_embed, text_irregularity, gate_level", VARIANTS, ids=lambda v: str(v)
+    )
+    def test_training_step_reaches_every_built_parameter_and_nothing_else_is_built(
+        self, prepared, modality, ts_embed, text_irregularity, gate_level
+    ):
+        preps, _, _ = prepared
+        cfg = small_config(
+            modality=modality, ts_embed=ts_embed, text_irregularity=text_irregularity,
+            gate_level=gate_level,
+        )
+        params = init_model(cfg)
+        built = {f.name for f in dataclasses.fields(params) if getattr(params, f.name) is not None}
+        assert built == expected_components(modality, ts_embed, text_irregularity)
+        flat = params.flat()
+        assert {name.split(".")[0] for name in flat} == built
+        batch = collate(preps)
+        with Tape() as tape:
+            tape.backward(bce_with_logits(forward(batch, params, cfg), batch.labels))
+        assert [name for name, t in flat.items() if tape.grad_or_none(t) is None] == []
+        if "gate" in built:
+            w = params.gate.w_hidden.shape
+            assert w[0] == (2 * cfg.d_hidden if gate_level == "hidden" else 1)
+
+    def test_default_fused_utde_size(self):
+        flat = init_model(RunConfig(seed=0)).flat()
+        assert (len(flat), sum(t.size for t in flat.values())) == (180, 552_066)
+
+    def test_shared_components_are_bit_identical_across_variants(self):
+        fused = init_model(small_config()).flat()
+        for overrides in (dict(modality="ts"), dict(modality="ts", ts_embed="mtand"),
+                          dict(modality="ts", ts_embed="imputation"), dict(modality="txt")):
+            other = init_model(small_config(**overrides)).flat()
+            shared = [k for k in other if k in fused]
+            assert shared
+            for k in shared:
+                assert_array_equal(other[k].data, fused[k].data)
 
 
 class TestPrepare:
@@ -175,11 +268,10 @@ class TestPrepare:
 
 class TestForward:
     def test_logit_shapes_per_modality(self, prepared):
-        preps, cfg, _ = prepared
-        params = init_model(cfg)
+        preps, _, _ = prepared
         for modality in ("fused", "ts", "txt"):
             c = small_config(modality=modality)
-            logits = forward(preps[0], params, c)
+            logits = forward(preps[0], init_model(c), c)
             assert logits.shape == (1,)
 
     def test_forward_is_deterministic(self, prepared):
@@ -192,10 +284,10 @@ class TestForward:
     def test_padded_note_mode_runs_and_masks(self, prepared):
         preps, _, _ = prepared
         cfg = small_config(text_irregularity=False)
-        params = init_model(cfg)
-        logits = forward_fused(preps[0], params, cfg)
+        logits = forward_fused(preps[0], init_model(cfg), cfg)
         assert logits.shape == (1,)
-        out_txt = single_modality_forward("txt", preps[0], params, cfg)
+        txt_cfg = small_config(text_irregularity=False, modality="txt")
+        out_txt = single_modality_forward("txt", preps[0], init_model(txt_cfg), txt_cfg)
         assert out_txt.shape == (1,)
 
     def test_ts_embed_variants_differ(self, prepared):
@@ -237,9 +329,9 @@ class TestForward:
         for k in ("bank.omega", "conv_kernel", "ts_interp.w_query", "txt_interp.w_key",
                   "gate.w_out", "fusion_layers.0.ts_self.w_q", "fused_head.w_hidden"):
             assert np.any(active[k] != 0.0), k
-        # single-modality stacks are inactive in the fused pass
-        assert not np.any(active["ts_head.w_out"])
-        assert not np.any(active["txt_stack.0.ffn.w_in"])
+        # the single-modality stacks are not part of the fused model
+        assert params.ts_head is None and params.txt_stack is None
+        assert not any(k.startswith(("ts_stack", "ts_head", "txt_stack", "txt_head")) for k in flat)
 
 
 def mixed_group(cfg):

@@ -7,15 +7,12 @@ from numpy.testing import assert_allclose
 from mmists.imputation import ReferenceGrid
 from mmists.mtand import (
     MtandParams,
-    Time2VecParams,
-    bank_head,
+    Time2VecBank,
     init_mtand_params,
     init_time2vec_bank,
     mtand_ts,
     mtand_txt,
-    time2vec,
     time2vec_heads,
-    time_attention,
 )
 from mmists.tensor import (
     Tape,
@@ -23,6 +20,7 @@ from mmists.tensor import (
     masked_softmax,
     matmul,
     reduce_sum,
+    reshape,
     swapaxes,
 )
 from oracles import softmax_rows, time_attention_oracle
@@ -43,16 +41,40 @@ def make_params(rng, v=2, d_v=5, d_in=1, d_h=4):
     return init_mtand_params(rng, bank, d_in, d_h)
 
 
+def one_head(omega, phi):
+    """A one-head bank from per-head omega/phi vectors."""
+    return Time2VecBank(Tensor(np.array(omega, dtype=float)[None]), Tensor(np.array(phi, dtype=float)[None]))
+
+
+def unprojected(params):
+    """Make the output projection the identity, so mtand_ts/mtand_txt return
+    every head's interpolation unmixed: column v*k + j is head v on input
+    column (feature or embedding dim) j."""
+    n = params.w_out.shape[0]
+    params.w_out = Tensor(np.eye(n))
+    params.b_out = Tensor(np.zeros(n))
+    return params
+
+
+def head_interpolations(grid, key_times, values, params):
+    """Each head's interpolation of one series with shared key times, through
+    the shipping path: [V x alpha x c] for values [l x c]."""
+    values = np.asarray(values, dtype=np.float64)
+    v, c = params.bank.n_heads, values.shape[1]
+    if c == 1:  # one feature of a time series
+        out = mtand_ts([(np.asarray(key_times, dtype=np.float64), values[:, 0])], grid, params).data
+    else:  # note embeddings share their notes' times
+        out = mtand_txt(key_times, values, grid, params).data
+    return out.reshape(grid.n_points, v, c).transpose(1, 0, 2)
+
+
 class TestTime2Vec:
     def test_zero_parameters_give_zero_embedding(self):
-        p = Time2VecParams(Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-        out = time2vec(np.array([0.3, 0.9]), p)
+        out = time2vec_heads(np.array([0.3, 0.9]), one_head(np.zeros(4), np.zeros(4)))
         assert_allclose(out.data, 0.0)
 
     def test_full_period_wraps_to_zero(self):
-        omega = np.full(4, 2.0 * np.pi)
-        p = Time2VecParams(Tensor(omega), Tensor(np.zeros(4)))
-        out = time2vec(np.array([1.0]), p).data
+        out = time2vec_heads(np.array([1.0]), one_head(np.full(4, 2.0 * np.pi), np.zeros(4))).data[0]
         assert out[0, 0] == pytest.approx(2.0 * np.pi)
         assert_allclose(out[0, 1:], 0.0, atol=1e-12)
 
@@ -61,8 +83,8 @@ class TestTime2Vec:
         omega = rng.normal(size=6)
         phi = rng.normal(size=6)
         times = rng.random(7)
-        p = Time2VecParams(Tensor(omega.copy()), Tensor(phi.copy()))
-        assert_allclose(time2vec(times, p).data, head_vectors(times, omega, phi), atol=1e-12)
+        out = time2vec_heads(times, one_head(omega, phi)).data[0]
+        assert_allclose(out, head_vectors(times, omega, phi), atol=1e-12)
 
     def test_banked_heads_match_per_head_op(self):
         rng = np.random.default_rng(31)
@@ -70,7 +92,7 @@ class TestTime2Vec:
         times = rng.random(4)
         all_heads = time2vec_heads(times, bank).data
         for v in range(3):
-            single = time2vec(times, bank_head(bank, v)).data
+            single = time2vec_heads(times, one_head(bank.omega.data[v], bank.phi.data[v])).data[0]
             assert_allclose(all_heads[v], single, atol=1e-12)
 
     def test_bank_init_ranges(self):
@@ -87,52 +109,58 @@ class TestTime2Vec:
 
 
 class TestTimeAttention:
+    """Per-head interpolation, read through mtand_ts (one feature) or
+    mtand_txt (several embedding dims) with an identity output projection."""
+
     def test_single_key_copies_value_everywhere(self):
         rng = np.random.default_rng(33)
-        params = make_params(rng, d_in=3)
+        params = unprojected(make_params(rng, d_in=3))
         value = rng.normal(size=(1, 3))
-        out = time_attention(ReferenceGrid(4), np.array([0.4]), value, params, head=0)
-        assert_allclose(out.data, np.tile(value, (4, 1)))
+        out = head_interpolations(ReferenceGrid(4), np.array([0.4]), value, params)
+        for head in out:
+            assert_allclose(head, np.tile(value, (4, 1)))
 
     def test_identical_keys_and_values_collapse(self):
         rng = np.random.default_rng(34)
-        params = make_params(rng, d_in=2)
+        params = unprojected(make_params(rng, d_in=2))
         u = rng.normal(size=2)
         values = np.stack([u, u])
-        out = time_attention(ReferenceGrid(3), np.array([0.2, 0.8]), values, params, head=1)
-        assert_allclose(out.data, np.tile(u, (3, 1)), atol=1e-12)
+        out = head_interpolations(ReferenceGrid(3), np.array([0.2, 0.8]), values, params)
+        for head in out:
+            assert_allclose(head, np.tile(u, (3, 1)), atol=1e-12)
 
     def test_zero_keys_give_zero_output(self):
-        params = make_params(np.random.default_rng(35), d_in=2)
-        out = time_attention(ReferenceGrid(3), np.array([]), np.zeros((0, 2)), params, head=0)
-        assert_allclose(out.data, np.zeros((3, 2)))
+        params = unprojected(make_params(np.random.default_rng(35), d_in=1))
+        out = head_interpolations(ReferenceGrid(3), np.array([]), np.zeros((0, 1)), params)
+        assert_allclose(out, np.zeros((2, 3, 1)))
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(36)
-        for head in (0, 1):
-            params = make_params(rng, v=2, d_v=6, d_in=2)
+        for c in (1, 2):
+            params = unprojected(make_params(rng, v=2, d_v=6, d_in=c))
             grid = ReferenceGrid(3)
             key_times = rng.random(4)
-            values = rng.normal(size=(4, 2))
-            got = time_attention(grid, key_times, values, params, head=head).data
-            omega = params.bank.omega.data[head]
-            phi = params.bank.phi.data[head]
-            want = time_attention_oracle(
-                head_vectors(grid.points, omega, phi),
-                head_vectors(key_times, omega, phi),
-                values,
-                params.w_query.data[head],
-                params.w_key.data[head],
-            )
-            assert_allclose(got, want, atol=1e-9)
+            values = rng.normal(size=(4, c))
+            got = head_interpolations(grid, key_times, values, params)
+            for head in (0, 1):
+                omega = params.bank.omega.data[head]
+                phi = params.bank.phi.data[head]
+                want = time_attention_oracle(
+                    head_vectors(grid.points, omega, phi),
+                    head_vectors(key_times, omega, phi),
+                    values,
+                    params.w_query.data[head],
+                    params.w_key.data[head],
+                )
+                assert_allclose(got[head], want, atol=1e-9)
 
     def test_output_is_convex_combination_of_values(self):
         rng = np.random.default_rng(37)
-        params = make_params(rng, d_in=1)
+        params = unprojected(make_params(rng, d_in=1))
         for _ in range(50):
             l = int(rng.integers(1, 6))
             values = rng.normal(size=(l, 1))
-            out = time_attention(ReferenceGrid(4), rng.random(l), values, params, head=0).data
+            out = head_interpolations(ReferenceGrid(4), rng.random(l), values, params)
             assert np.all(out >= values.min() - 1e-12)
             assert np.all(out <= values.max() + 1e-12)
 
@@ -156,9 +184,17 @@ class TestMtandTs:
             (rng.random(3), rng.normal(size=3)),
             (rng.random(4), rng.normal(size=4)),
         ]
-        out = mtand_ts(series, ReferenceGrid(3), params).data
+        grid = ReferenceGrid(3)
+        out = mtand_ts(series, grid, params).data
+        omega, phi = bank.omega.data[0], bank.phi.data[0]
         for j, (times, vals) in enumerate(series):
-            want = time_attention(ReferenceGrid(3), times, vals.reshape(-1, 1), params, head=0).data
+            want = time_attention_oracle(
+                head_vectors(grid.points, omega, phi),
+                head_vectors(times, omega, phi),
+                vals.reshape(-1, 1),
+                params.w_query.data[0],
+                params.w_key.data[0],
+            )
             assert_allclose(out[:, j], want[:, 0], atol=1e-12)
 
     def test_zero_observation_feature_contributes_zero_column(self):
@@ -289,9 +325,9 @@ class TestPhaseShiftScoreIdentity:
     (time-carrying) dimension through."""
 
     def weights(self, bank_omega, bank_phi, w_q, w_k, q_times, k_times):
-        p = Time2VecParams(Tensor(bank_omega), Tensor(bank_phi))
-        q = matmul(time2vec(q_times, p), Tensor(w_q))
-        k = matmul(time2vec(k_times, p), Tensor(w_k))
+        bank = one_head(bank_omega, bank_phi)
+        q = matmul(reshape(time2vec_heads(q_times, bank), (len(q_times), len(bank_omega))), Tensor(w_q))
+        k = matmul(reshape(time2vec_heads(k_times, bank), (len(k_times), len(bank_omega))), Tensor(w_k))
         scores = matmul(q, swapaxes(k, 0, 1)) * (len(bank_omega) ** -0.5)
         return masked_softmax(scores, None)[0].data
 

@@ -15,6 +15,8 @@ from mmists.tensor import (
     Tensor,
     adam_init,
     adam_step,
+    buffer_views,
+    pack,
     attention,
     bce_with_logits,
     causal_conv1d,
@@ -613,11 +615,37 @@ def mul_chain(a, b, c):
     return (a + b) * c + a * 0.5
 
 
+class TestFlatBuffer:
+    def test_pack_makes_consecutive_views_and_keeps_values(self):
+        rng = np.random.default_rng(29)
+        values = [rng.normal(size=(2, 3)), rng.normal(size=4), np.array([7.0])]
+        ts = [Tensor(v.copy()) for v in values]
+        buffer = pack(ts)
+        assert buffer.shape == (11,)
+        for t, v in zip(ts, values):
+            assert t.data.base is buffer and t.shape == v.shape
+            np.testing.assert_array_equal(t.data, v)
+        buffer[:] = 0.0
+        assert not any(t.data.any() for t in ts)  # views, not copies
+
+    def test_adopt_hands_over_a_buffer(self):
+        ts = [Tensor(np.zeros(2)), Tensor(np.zeros((1, 3)))]
+        buffer = np.arange(5.0)
+        T.adopt(ts, buffer)
+        np.testing.assert_array_equal(ts[1].data, [[2.0, 3.0, 4.0]])
+        assert all(t.data.base is buffer for t in ts)
+        with pytest.raises(ShapeError, match="cover 5 values"):
+            T.adopt(ts, np.zeros(6))
+        with pytest.raises(ShapeError):
+            buffer_views(np.zeros(4), [(2,), (3,)])
+
+
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         p = {"w": Tensor(np.zeros(3))}
         state = adam_init(p, lr=0.01)
-        adam_step(p, {"w": np.array([1.0, -2.0, 0.5])}, state)
+        state.grads["w"][...] = [1.0, -2.0, 0.5]
+        adam_step(p, state)
         # bias correction makes the very first update +-lr per element
         assert_allclose(np.abs(p["w"].data), 0.01, rtol=1e-6)
 
@@ -625,22 +653,46 @@ class TestAdam:
         p = {"w": Tensor(np.array([5.0, -3.0]))}
         state = adam_init(p, lr=0.1)
         for _ in range(500):
-            adam_step(p, {"w": 2.0 * p["w"].data}, state)
+            state.grads["w"][...] = 2.0 * p["w"].data
+            adam_step(p, state)
         assert_allclose(p["w"].data, 0.0, atol=1e-3)
 
     def test_missing_gradient_treated_as_zero(self):
         p = {"w": Tensor(np.array([1.0])), "u": Tensor(np.array([1.0]))}
         state = adam_init(p)
-        adam_step(p, {"w": np.array([1.0])}, state)
+        state.grads["w"][...] = 1.0
+        adam_step(p, state)
         assert_allclose(p["u"].data, 1.0)
 
-    def test_lazy_moments_match_eager_reference(self):
-        """Moments appear at a parameter's first gradient; the parameters after
-        N steps equal an update that holds zero moments for every parameter."""
+    def test_skip_set_freezes_parameters(self):
+        p = {"w": Tensor(np.array([1.0])), "big": Tensor(np.ones(40_000)), "u": Tensor(np.array([1.0]))}
+        state = adam_init(p)
+        state.grad_buffer.fill(1.0)
+        adam_step(p, state, skip={"w", "big"})
+        assert_allclose(p["w"].data, 1.0)
+        assert_allclose(p["big"].data, 1.0)
+        assert p["u"].data[0] < 1.0
+        assert not state.first_moment[:40_001].any() and not state.second_moment[:40_001].any()
+        assert state.first_moment[-1] > 0.0
+
+    def test_flat_moments_match_eager_reference(self):
+        """Moments are flat buffers over every parameter, zero at the first
+        step; the parameters after N steps equal an update that holds zero
+        moments for every parameter, with the gradients written into the
+        state's gradient views. "big" spans more than one chunk."""
         rng = np.random.default_rng(28)
-        init = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5), "never": rng.normal(size=(2, 2))}
+        init = {
+            "a": rng.normal(size=(3, 4)),
+            "big": rng.normal(size=(200, 200)),
+            "b": rng.normal(size=5),
+            "never": rng.normal(size=(2, 2)),
+        }
         steps = [
-            {"a": rng.normal(size=(3, 4)), **({"b": rng.normal(size=5)} if i in (1, 2) else {})}
+            {
+                "a": rng.normal(size=(3, 4)),
+                "big": rng.normal(size=(200, 200)),
+                **({"b": rng.normal(size=5)} if i in (1, 2) else {}),
+            }
             for i in range(6)
         ]  # "b" first gets a gradient at step 2, then has none from step 4 and keeps decaying
 
@@ -655,21 +707,21 @@ class TestAdam:
                 v2[k] = b2 * v2[k] + (1.0 - b2) * (g * g)
                 ref[k] = ref[k] - lr * (m[k] / (1.0 - b1**t)) / (np.sqrt(v2[k] / (1.0 - b2**t)) + eps)
 
+        size = sum(v.size for v in init.values())
         params = {k: Tensor(v.copy()) for k, v in init.items()}
         state = adam_init(params, lr=lr)
-        assert state.first_moment == {} and state.second_moment == {}
+        assert state.first_moment is None and state.second_moment is None  # no step yet
         for grads in steps:
-            adam_step(params, grads, state)
+            state.grad_buffer.fill(0.0)
+            for k, g in grads.items():
+                state.grads[k][...] = g
+            adam_step(params, state)
         for k in init:
             np.testing.assert_array_equal(params[k].data, ref[k])
-        assert sorted(state.first_moment) == sorted(state.second_moment) == ["a", "b"]
         np.testing.assert_array_equal(params["never"].data, init["never"])
-
-    def test_skip_set_freezes_parameters(self):
-        p = {"w": Tensor(np.array([1.0]))}
-        state = adam_init(p)
-        adam_step(p, {"w": np.array([1.0])}, state, skip={"w"})
-        assert_allclose(p["w"].data, 1.0)
+        assert state.first_moment.shape == state.second_moment.shape == (size,)
+        assert not state.first_moment[-4:].any() and not state.second_moment[-4:].any()
+        assert all(p.data.base is state.param_buffer for p in params.values())
 
     def test_state_defaults(self):
         state = adam_init({})
