@@ -208,9 +208,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     _require(config, "train_path", "val_path", "test_path")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    except ValueError as e:
+        raise ConfigError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from e
     if not seeds:
         raise ConfigError(f"--seeds needs at least one integer, got {args.seeds!r}")
+    for seed in seeds:  # before any data is loaded or model trained
+        dataclasses.replace(config, seed=seed).validate()
     schema = _schema(config)
     train_eps = load_episodes(config.train_path, schema)
     val_eps = load_episodes(config.val_path, schema)

@@ -29,6 +29,8 @@ __all__ = [
     "normalize",
     "save_stats",
     "load_stats",
+    "stats_record",
+    "stats_from_record",
     "truncate_notes",
     "toy_text_encode",
     "embed_notes",
@@ -280,25 +282,34 @@ def _normalize_episode(ep: Episode, stats: NormalizationStats) -> Episode:
     return replace(ep, observations=tuple(obs), notes=notes)
 
 
-def save_stats(path, stats: NormalizationStats) -> None:
-    rec = {
+def stats_record(stats: NormalizationStats) -> dict:
+    """The JSON form of ``stats`` that stats files and checkpoint meta hold."""
+    return {
         "min": stats.feature_min.tolist(),
         "max": stats.feature_max.tolist(),
         "global_mean": stats.global_mean.tolist(),
         "alpha_hours": stats.alpha_hours,
     }
-    Path(path).write_text(json.dumps(rec) + "\n", encoding="utf-8")
+
+
+def stats_from_record(rec) -> NormalizationStats:
+    """Inverse of ``stats_record``; a malformed record raises KeyError,
+    TypeError or ValueError, which each reader reports as its DataError."""
+    return NormalizationStats(
+        feature_min=np.asarray(rec["min"], dtype=np.float64),
+        feature_max=np.asarray(rec["max"], dtype=np.float64),
+        global_mean=np.asarray(rec["global_mean"], dtype=np.float64),
+        alpha_hours=float(rec["alpha_hours"]),
+    )
+
+
+def save_stats(path, stats: NormalizationStats) -> None:
+    Path(path).write_text(json.dumps(stats_record(stats)) + "\n", encoding="utf-8")
 
 
 def load_stats(path) -> NormalizationStats:
     try:
-        rec = json.loads(Path(path).read_text(encoding="utf-8"))
-        return NormalizationStats(
-            feature_min=np.asarray(rec["min"], dtype=np.float64),
-            feature_max=np.asarray(rec["max"], dtype=np.float64),
-            global_mean=np.asarray(rec["global_mean"], dtype=np.float64),
-            alpha_hours=float(rec["alpha_hours"]),
-        )
+        return stats_from_record(json.loads(Path(path).read_text(encoding="utf-8")))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed stats file {path}: {e}") from e
 
@@ -381,6 +392,12 @@ class GenConfig:
     def __post_init__(self) -> None:
         if self.n_episodes < 1:
             raise DataError("n_episodes must be >= 1")
+        if self.n_features < 1:
+            raise DataError(f"n_features must be >= 1, got {self.n_features}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.alpha_hours) and self.alpha_hours > 0):
+            raise DataError(f"alpha_hours must be finite and positive, got {self.alpha_hours}")
         if not 0.0 < self.sparsity <= 1.0:
             raise DataError(f"sparsity must be in (0,1], got {self.sparsity}")
         if self.task not in ("ts_only", "notes_only", "xor_fusion"):

@@ -23,12 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Episode, NormalizationStats, normalize
-from .gating import compute_gate
-from .imputation import ReferenceGrid, conv_embed
+from .data import DataError, Episode, NormalizationStats, normalize, stats_from_record, stats_record
 from .metrics import EvalReport, evaluate_scores, f1_binary, macro_f1
 from .model import (
-    ConfigError,
     ModelParams,
     PreparedEpisode,
     RunConfig,
@@ -38,8 +35,7 @@ from .model import (
     model_skeleton,
     prepare_episode,
 )
-from .mtand import mtand_ts
-from .tensor import Tape, Tensor, adam_init, adam_step, adopt, bce_with_logits
+from .tensor import Tape, adam_init, adam_step, adopt, bce_with_logits
 from .tensor import _sigmoid as _sigmoid_np
 
 log = logging.getLogger(__name__)
@@ -50,7 +46,6 @@ __all__ = [
     "train",
     "evaluate",
     "predict",
-    "gate_summary",
     "run_seeds",
     "aggregate_reports",
     "save_checkpoint",
@@ -118,12 +113,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     meta = {
         "format_version": CHECKPOINT_FORMAT,
         "config": dataclasses.asdict(ckpt.config),
-        "stats": {
-            "min": ckpt.stats.feature_min.tolist(),
-            "max": ckpt.stats.feature_max.tolist(),
-            "global_mean": ckpt.stats.global_mean.tolist(),
-            "alpha_hours": ckpt.stats.alpha_hours,
-        },
+        "stats": stats_record(ckpt.stats),
         "epoch": ckpt.epoch,
         "metric_name": ckpt.metric_name,
         "metric_value": ckpt.metric_value,
@@ -177,17 +167,11 @@ def load_checkpoint(path) -> Checkpoint:
                 )
             index = [(str(name), tuple(int(n) for n in dims)) for name, dims in meta["index"]]
             buffer = _read_params(bundle, index)
-        stats = NormalizationStats(
-            feature_min=np.asarray(meta["stats"]["min"], dtype=np.float64),
-            feature_max=np.asarray(meta["stats"]["max"], dtype=np.float64),
-            global_mean=np.asarray(meta["stats"]["global_mean"], dtype=np.float64),
-            alpha_hours=float(meta["stats"]["alpha_hours"]),
-        )
         return Checkpoint(
             buffer=buffer,
             index=index,
             config=RunConfig(**meta["config"]).validate(),
-            stats=stats,
+            stats=stats_from_record(meta["stats"]),
             epoch=int(meta["epoch"]),
             metric_name=str(meta["metric_name"]),
             metric_value=float(meta["metric_value"]),
@@ -350,26 +334,6 @@ def predict(ckpt: Checkpoint, episodes: list[Episode]) -> list[tuple[str, np.nda
     """(episode id, per-class sigmoid probabilities) in input order."""
     ids, scores, _ = _score_checkpoint(ckpt, episodes)
     return list(zip(ids, scores))
-
-
-def gate_summary(ckpt: Checkpoint, episodes: list[Episode]) -> list[tuple[str, float]]:
-    """Mean blend-gate activation per episode, for gated time-series runs."""
-    config = ckpt.config
-    if config.ts_embed != "utde" or config.modality == "txt":  # a txt model builds no gate
-        raise ConfigError(f"gate summary needs a utde time-series stream, got {config.modality}/{config.ts_embed}")
-    if not episodes:
-        raise DataError("cannot summarize an empty episode list")
-    params = ckpt.build_params()
-    grid = ReferenceGrid(config.alpha)
-    normed, _ = normalize(episodes, stats=ckpt.stats)
-    out = []
-    for ep in normed:
-        prep = prepare_episode(ep, config, ckpt.stats)
-        e_imp = conv_embed(Tensor(prep.imputed), params.conv_kernel, params.conv_bias)
-        e_attn = mtand_ts(prep.feature_series, grid, params.ts_interp)
-        g = compute_gate(e_imp, e_attn, params.gate)
-        out.append((ep.episode_id, float(g.data.mean())))
-    return out
 
 
 # ------------------------------------------------------------------ multi-seed

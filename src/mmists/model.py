@@ -14,7 +14,6 @@ bit-identical regardless of which other components a variant instantiates.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -135,6 +134,8 @@ class RunConfig:
         for name, value in positive.items():
             if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        if c.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {c.seed}")
         if c.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {c.task!r}")
         if c.task == "binary" and c.n_classes != 1:
@@ -324,7 +325,7 @@ def prepare_episode(ep: Episode, config: RunConfig, stats: NormalizationStats) -
         )
     grid = ReferenceGrid(config.alpha)
     series = group_by_feature(ep, config.n_features)
-    imputed = impute(discretize(ep, grid, config.n_features), _prep_stats(config, stats)).data
+    imputed = impute(discretize(ep, grid, config.n_features), stats).data
     return PreparedEpisode(
         episode_id=ep.episode_id,
         label=ep.label.astype(np.float64),
@@ -333,14 +334,6 @@ def prepare_episode(ep: Episode, config: RunConfig, stats: NormalizationStats) -
         note_times=note_times,
         note_embs=note_embs,
     )
-
-
-def _prep_stats(config: RunConfig, stats: NormalizationStats) -> NormalizationStats:
-    if stats.global_mean.shape[0] != config.n_features:
-        raise DataError(
-            f"stats cover {stats.global_mean.shape[0]} features, config expects {config.n_features}"
-        )
-    return stats
 
 
 @dataclass
@@ -378,21 +371,6 @@ def collate(preps: list[PreparedEpisode]) -> EpisodeBatch:
     )
 
 
-def _one_or_group(fn):
-    """Let ``fn`` take a single PreparedEpisode in place of its EpisodeBatch,
-    as a group of one; its result then comes back without the group axis."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if not any(isinstance(a, PreparedEpisode) for a in args):
-            return fn(*args, **kwargs)
-        out = fn(*(collate([a]) if isinstance(a, PreparedEpisode) else a for a in args), **kwargs)
-        return reshape(out, out.shape[1:])
-
-    return wrapper
-
-
-@_one_or_group
 def ts_embedding(
     batch: EpisodeBatch,
     params: ModelParams,
@@ -438,18 +416,12 @@ def _txt_stream(
     return proj, np.arange(config.alpha) < counts[:, None], counts - 1
 
 
-@_one_or_group
-def forward_fused(
-    batch: EpisodeBatch,
-    params: ModelParams,
-    config: RunConfig,
-    gate_override: float | None = None,
-) -> Tensor:
+def forward_fused(batch: EpisodeBatch, params: ModelParams, config: RunConfig) -> Tensor:
     grid_embedding = None
     if config.ts_embed != "imputation" and config.text_irregularity:
         # both streams run mTAND: embed the grid once under the shared bank
         grid_embedding = time2vec_heads(ReferenceGrid(config.alpha).points, params.bank)
-    z_ts = ts_embedding(batch, params, config, gate_override, grid_embedding)
+    z_ts = ts_embedding(batch, params, config, grid_embedding=grid_embedding)
     z_txt, txt_mask, txt_row = _txt_stream(batch, params, config, grid_embedding)
     z_ts, z_txt = fusion_stack(
         z_ts, z_txt, params.fusion_layers, config.heads,
@@ -460,36 +432,27 @@ def forward_fused(
     return classify(z_ts, z_txt, params.fused_head, ts_row=0, txt_row=0)
 
 
-@_one_or_group
-def single_modality_forward(
-    modality: str,
-    batch: EpisodeBatch,
-    params: ModelParams,
-    config: RunConfig,
-    gate_override: float | None = None,
-) -> Tensor:
-    """Self-attention-only backbone on one stream, classifier on its last state."""
-    if modality == "ts":
-        z = ts_embedding(batch, params, config, gate_override)
+def single_modality_forward(batch: EpisodeBatch, params: ModelParams, config: RunConfig) -> Tensor:
+    """Self-attention-only backbone on config.modality's stream, classifier on its last state."""
+    if config.modality == "ts":
+        z = ts_embedding(batch, params, config)
         h = single_stack(z, params.ts_stack, config.heads, row=config.alpha - 1)
         h = layer_norm(h, params.ts_ln.gain, params.ts_ln.bias)
         return classify_single(h, params.ts_head, row=0)
-    if modality == "txt":
+    if config.modality == "txt":
         z, mask, row = _txt_stream(batch, params, config)
         h = single_stack(z, params.txt_stack, config.heads, key_mask=mask, row=row)
         h = layer_norm(h, params.txt_ln.gain, params.txt_ln.bias)
         return classify_single(h, params.txt_head, row=0)
-    raise ConfigError(f"single-modality forward needs 'ts' or 'txt', got {modality!r}")
+    raise ConfigError(f"single-modality forward needs modality 'ts' or 'txt', got {config.modality!r}")
 
 
-def forward(
-    prep: PreparedEpisode | EpisodeBatch,
-    params: ModelParams,
-    config: RunConfig,
-    gate_override: float | None = None,
-) -> Tensor:
+def forward(prep: PreparedEpisode | EpisodeBatch, params: ModelParams, config: RunConfig) -> Tensor:
     """Dispatch on config.modality; logits [G x n_classes] for a group,
-    [n_classes] for one PreparedEpisode."""
+    [n_classes] for one PreparedEpisode (run as a group of one)."""
+    if isinstance(prep, PreparedEpisode):
+        out = forward(collate([prep]), params, config)
+        return reshape(out, out.shape[1:])
     if config.modality == "fused":
-        return forward_fused(prep, params, config, gate_override)
-    return single_modality_forward(config.modality, prep, params, config, gate_override)
+        return forward_fused(prep, params, config)
+    return single_modality_forward(prep, params, config)

@@ -181,24 +181,16 @@ def _project_heads(mixed: Tensor, lead: tuple[int, ...], params: MtandParams) ->
 
 
 def mtand_ts(
-    series: PaddedSeries | list[tuple[np.ndarray, np.ndarray]],
-    grid: ReferenceGrid,
-    params: MtandParams,
-    grid_embedding: Tensor | None = None,
+    series: PaddedSeries, grid: ReferenceGrid, params: MtandParams, grid_embedding: Tensor | None = None
 ) -> Tensor:
     """Interpolate each feature's own observations onto the grid, all heads and
     features in one segment attention, then project the concatenated head
     outputs.
 
-    ``series`` is a PaddedSeries [... x d_m x L], giving [... x alpha x d_h],
-    or one episode's list of per-feature (times, values), giving
-    [alpha x d_h]. A feature without observations contributes a zero column.
-    ``grid_embedding`` is ``time2vec_heads(grid.points, params.bank)``,
-    computed here when not given.
+    ``series`` [... x d_m x L] gives [... x alpha x d_h]; a feature without
+    observations contributes a zero column. ``grid_embedding`` is
+    ``time2vec_heads(grid.points, params.bank)``, computed here when not given.
     """
-    if not isinstance(series, PaddedSeries):
-        one = pad_series([series])
-        series = PaddedSeries(one.times[0], one.values[0], one.mask[0])
     mixed = _interpolate(series.times, series.mask, series.values, grid, params, grid_embedding)
     return _project_heads(mixed, series.mask.shape[:-2], params)  # k = d_m: one column per feature
 

@@ -57,14 +57,11 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "concat",
-    "narrow",
     "reshape",
     "swapaxes",
     "transpose",
     "gather_rows",
     "layer_norm",
-    "softmax",
-    "masked_softmax",
     "causal_conv1d",
     "bce_with_logits",
     "finite_difference_gradients",
@@ -624,21 +621,6 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
     return out
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` entries along ``axis``."""
-    idx = [slice(None)] * x.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    xshape = x.shape
-
-    def backward(g: np.ndarray):
-        full = np.zeros(xshape)
-        full[idx] = g
-        return (full,)
-
-    return _unary(x, x.data[idx].copy(), backward, "narrow")
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     xshape = x.shape
     return _unary(x, x.data.reshape(shape).copy(), lambda g: (g.reshape(xshape),), "reshape")
@@ -727,42 +709,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def _softmax_weights(sd: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Masked softmax of an array over its last axis, and the [... x 1] flag of
-    rows with at least one valid entry; a row without one comes back all zero."""
+def _softmax_weights(sd: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Softmax of an array over its last axis, where ``mask`` (bool, broadcast
+    to the array) marks the valid entries; a row without one comes back all zero."""
     if mask is None:
         e = sd - sd.max(axis=-1, keepdims=True)
-        any_valid = np.ones(e.shape[:-1] + (1,), dtype=bool)
+        any_valid = True
     else:
         m = np.broadcast_to(np.asarray(mask, dtype=bool), sd.shape)
         any_valid = m.any(axis=-1, keepdims=True)
         e = np.where(m, sd, -np.inf)
         e -= np.where(any_valid, e.max(axis=-1, keepdims=True, initial=-np.inf), 0.0)
     np.exp(e, out=e)  # masked entries: exp(-inf) = 0
-    denom = e.sum(axis=-1, keepdims=True)
-    e /= np.where(any_valid, denom, 1.0)
-    return e, any_valid
-
-
-def masked_softmax(scores: Tensor, mask: np.ndarray | None) -> tuple[Tensor, np.ndarray]:
-    """Softmax over the last axis with optional boolean validity mask.
-
-    ``mask`` must broadcast to ``scores.shape``; False entries get weight 0.
-    Rows with no valid entry come back all-zero and are flagged in the
-    returned boolean ``degenerate`` array (shape = row shape).
-    """
-    w, any_valid = _softmax_weights(scores.data, mask)
-    out = Tensor(w)
-    tape = _active_tape()
-    if tape is not None:
-        wd = out.data
-
-        def backward(g: np.ndarray):
-            dot = (g * wd).sum(axis=-1, keepdims=True)
-            return (wd * (g - dot),)
-
-        tape.record(out, (scores,), backward, "masked_softmax")
-    return out, ~any_valid[..., 0]
+    e /= np.where(any_valid, e.sum(axis=-1, keepdims=True), 1.0)
+    return e
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, key_mask=None) -> Tensor:
@@ -796,7 +756,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, key_mask=None) -> Ten
         return out
 
     qh, kh, vh = split(qd, a), split(kd, l), split(vd, l)
-    w = _softmax_weights(qh @ np.swapaxes(kh, -1, -2) * scale, mask)[0]  # [... x H x a x l]
+    w = _softmax_weights(qh @ np.swapaxes(kh, -1, -2) * scale, mask)  # [... x H x a x l]
     out = Tensor(merge(w @ vh, a))
     tape = _active_tape()
     if tape is not None:
@@ -810,11 +770,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, key_mask=None) -> Ten
             return merge(g_s @ kh, a), merge(np.swapaxes(g_s, -1, -2) @ qh, l), merge(g_v, l)
 
         tape.record(out, (q, k, v), backward, "attention")
-    return out
-
-
-def softmax(scores: Tensor) -> Tensor:
-    out, _ = masked_softmax(scores, None)
     return out
 
 
@@ -903,31 +858,34 @@ def pack(tensors: Sequence[Tensor]) -> np.ndarray:
     return buffer
 
 
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """The parameters' flat buffer, a gradient buffer and the first/second
-    moments in the same layout, plus hyperparameters."""
+    moments in the same layout, plus the learning rate."""
 
     param_buffer: np.ndarray
     grad_buffer: np.ndarray
     grads: dict[str, np.ndarray]  # parameter name -> view of its slice of grad_buffer
     lr: float = 4e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     # allocated, zero, at the first step: a state that never steps holds none
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
 
 
-def adam_init(params: dict[str, Tensor], lr: float = 4e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: dict[str, Tensor], lr: float = 4e-4) -> AdamState:
     """Fresh optimizer state. The parameters are ``pack``ed into one flat
     buffer, which the state keeps with a zero gradient buffer of its layout."""
     flat = pack(list(params.values()))
     grad = np.zeros(flat.size)
     grads = dict(zip(params, buffer_views(grad, [t.shape for t in params.values()])))
-    return AdamState(flat, grad, grads, lr, beta1, beta2, eps)
+    return AdamState(flat, grad, grads, lr)
 
 
 # Elements per Adam pass: the chunk's parameter, gradient, moments and two
@@ -935,19 +893,14 @@ def adam_init(params: dict[str, Tensor], lr: float = 4e-4, beta1: float = 0.9, b
 _ADAM_CHUNK = 1 << 15
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    state: AdamState,
-    skip: set[str] | None = None,
-) -> tuple[dict[str, Tensor], AdamState]:
+def adam_step(params: dict[str, Tensor], state: AdamState) -> tuple[dict[str, Tensor], AdamState]:
     """One bias-corrected Adam update, in place, from ``state.grad_buffer``.
 
     ``params`` is the mapping ``adam_init`` packed; the caller writes the
     gradients into ``state.grads`` (zero for a parameter without one). The
     update sweeps the flat parameter, gradient and moment buffers in chunks of
     ``_ADAM_CHUNK`` elements. Every parameter has zero moments before its
-    first gradient, so until then its update is exactly zero. The parameters
-    named in ``skip`` keep their values and moments.
+    first gradient, so until then its update is exactly zero.
 
     The operations and their order are those of the textbook expressions
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2`` and
@@ -958,34 +911,25 @@ def adam_step(
         state.first_moment, state.second_moment = np.zeros(size), np.zeros(size)
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    buffers = (state.param_buffer, state.first_moment, state.second_moment)
-    frozen, offset = [], 0  # (slice, its values in buffers) of each skipped parameter
-    for name, p in params.items() if skip else ():
-        if name in skip:
-            frozen.append((s := slice(offset, offset + p.data.size), [buf[s].copy() for buf in buffers]))
-        offset += p.data.size
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     step_buf, denom_buf = np.empty(min(size, _ADAM_CHUNK)), np.empty(min(size, _ADAM_CHUNK))
     for a in range(0, size, _ADAM_CHUNK):
         b = min(a + _ADAM_CHUNK, size)
         m, v, g = state.first_moment[a:b], state.second_moment[a:b], state.grad_buffer[a:b]
         step, denom = step_buf[: b - a], denom_buf[: b - a]
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, g, out=step)
-        v *= state.beta2
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+        v *= ADAM_BETA2
         np.multiply(g, g, out=step)
-        v += np.multiply(1.0 - state.beta2, step, out=step)
+        v += np.multiply(1.0 - ADAM_BETA2, step, out=step)
         np.divide(m, c1, out=step)
         step *= state.lr
         np.divide(v, c2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         step /= denom
         state.param_buffer[a:b] -= step
-    for s, kept in frozen:
-        for buf, values in zip(buffers, kept):
-            buf[s] = values
     return params, state
 
 

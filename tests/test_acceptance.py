@@ -39,6 +39,7 @@ from mmists.mtand import (
     init_time2vec_bank,
     mtand_ts,
     mtand_txt,
+    pad_series,
 )
 from mmists.tensor import (
     Tape,
@@ -50,9 +51,7 @@ from mmists.tensor import (
     finite_difference_gradients,
     layer_norm,
     linear,
-    masked_softmax,
     matmul,
-    narrow,
     neg,
     reduce_mean,
     reduce_sum,
@@ -62,7 +61,6 @@ from mmists.tensor import (
     segment_time_attention,
     sigmoid,
     sin,
-    softmax,
     swapaxes,
     time_embedding,
 )
@@ -205,10 +203,8 @@ def _grad_suite_ops(rng: np.random.Generator) -> float:
     check({"z": z, "y": y}, lambda: reduce_sum(relu(z) * y))
     v = Tensor(rng.normal(size=(1, 4)))
     check({"x": x, "v": v}, lambda: reduce_sum(reduce_mean(x, axis=0, keepdims=True) * v))
-    check(
-        {"x": x, "y": y},
-        lambda: reduce_sum(narrow(concat([x, y], axis=1), 1, 2, 4) * 1.3),
-    )
+    cat_w = np.linspace(-1.0, 1.0, 24).reshape(3, 8)  # no draw: later inputs stay as they were
+    check({"x": x, "y": y}, lambda: reduce_sum(concat([x, y], axis=1) * cat_w))
     w = Tensor(rng.normal(size=(4, 3)))
     check(
         {"x": x, "w": w},
@@ -220,12 +216,6 @@ def _grad_suite_ops(rng: np.random.Generator) -> float:
         {"x": x, "gain": gain, "bias": bias, "y": y},
         lambda: reduce_sum(layer_norm(x, gain, bias) * y),
     )
-    mask = np.array([True, False, True, True])
-    check(
-        {"x": x, "y": y},
-        lambda: reduce_sum(masked_softmax(x, mask)[0] * y),
-    )
-    check({"x": x, "y": y}, lambda: reduce_sum(softmax(x) * y))
     sig = Tensor(rng.normal(size=(5, 2)))
     ker = Tensor(rng.normal(size=(3, 2, 4)))
     cb = Tensor(rng.normal(size=(4,)))
@@ -384,7 +374,7 @@ def _head_interpolations(alpha: int, times: np.ndarray, values: np.ndarray, para
     v = params.bank.n_heads
     params.w_out = Tensor(np.eye(v))
     params.b_out = Tensor(np.zeros(v))
-    return mtand_ts([(times, values[:, 0])], ReferenceGrid(alpha), params).data
+    return mtand_ts(pad_series([[(times, values[:, 0])]]), ReferenceGrid(alpha), params).data[0]
 
 
 def test_criterion_03_attention_oracles():
@@ -480,10 +470,11 @@ def test_criterion_05_gate_extremes():
     imp_cfg = dataclasses.replace(config, ts_embed="imputation")
     attn_cfg = dataclasses.replace(config, ts_embed="mtand")
 
-    forced_one = ts_embedding(prep, params, utde_cfg, gate_override=1.0).data
-    forced_zero = ts_embedding(prep, params, utde_cfg, gate_override=0.0).data
-    imp_only = ts_embedding(prep, params, imp_cfg).data
-    attn_only = ts_embedding(prep, params, attn_cfg).data
+    batch = collate([prep])
+    forced_one = ts_embedding(batch, params, utde_cfg, gate_override=1.0).data[0]
+    forced_zero = ts_embedding(batch, params, utde_cfg, gate_override=0.0).data[0]
+    imp_only = ts_embedding(batch, params, imp_cfg).data[0]
+    attn_only = ts_embedding(batch, params, attn_cfg).data[0]
 
     ok = np.array_equal(forced_one, imp_only) and np.array_equal(forced_zero, attn_only)
     line = _announce(
@@ -620,10 +611,10 @@ def test_criterion_11_shared_bank_gradient_additivity():
     ts_params = init_mtand_params(np.random.default_rng(901), bank, 2, 8)
     txt_params = init_mtand_params(np.random.default_rng(902), bank, 8, 8)
     grid = ReferenceGrid(3)
-    series = [
+    series = pad_series([[
         (np.sort(rng.random(4)), rng.normal(size=4)),
         (np.sort(rng.random(3)), rng.normal(size=3)),
-    ]
+    ]])
     note_times = np.sort(rng.random(3))
     note_embs = rng.normal(size=(3, 8))
 

@@ -39,6 +39,14 @@ def write_config(tmp_path, extra=None, name="run.cfg"):
     return path
 
 
+def one_error_line(capsys, prefix: str) -> str:
+    """The single stderr line a failed command printed, checked to start with ``prefix``."""
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert "Traceback" not in err and len(lines) == 1 and lines[0].startswith(prefix), err
+    return lines[0]
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-data")
@@ -95,6 +103,25 @@ def test_gen_is_deterministic_and_loadable(tmp_path):
     assert len(episodes) == 12
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n-features", "0", "n_features must be >= 1"),
+        ("--seed", "-1", "seed must be >= 0"),
+        ("--alpha-hours", "0", "alpha_hours must be finite and positive"),
+        ("--alpha-hours", "-3", "alpha_hours must be finite and positive"),
+        ("--alpha-hours", "nan", "alpha_hours must be finite and positive"),
+        ("--alpha-hours", "inf", "alpha_hours must be finite and positive"),
+    ],
+)
+def test_gen_rejects_bad_value_exits_3(tmp_path, capsys, flag, value, message):
+    argv = {"--n-episodes": "4", "--task": "ts_only", "--seed": "0", "--out": str(tmp_path / "x.jsonl")}
+    argv[flag] = value
+    assert main(["gen", *(item for pair in argv.items() for item in pair)]) == 3
+    assert message in one_error_line(capsys, "data error: ")
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 # ------------------------------------------------------------------ train / eval / predict
 
 def test_train_eval_predict_round_trip(tmp_path, dataset, capsys):
@@ -147,13 +174,22 @@ def test_missing_paths_exit_config_error(tmp_path, dataset, capsys):
     assert "val_path" in capsys.readouterr().err
 
 
-def test_invalid_config_value_exits_2(tmp_path, dataset):
+@pytest.mark.parametrize(
+    "extra, seed, message",
+    [
+        ({"heads": "3"}, "0", "must divide d_hidden"),  # 3 does not divide d_hidden=8
+        ({}, "-1", "seed must be >= 0"),
+    ],
+    ids=["heads", "negative-seed"],
+)
+def test_invalid_config_value_exits_2(tmp_path, dataset, capsys, extra, seed, message):
     train_path, val_path, _ = dataset
-    cfg = write_config(tmp_path, extra={"heads": "3"})  # does not divide d_hidden=8
-    rc = main(["train", "--config", str(cfg), "--seed", "0",
+    cfg = write_config(tmp_path, extra=extra)
+    rc = main(["train", "--config", str(cfg), "--seed", seed,
                "--train-path", str(train_path), "--val-path", str(val_path),
                "--checkpoint-path", str(tmp_path / "x.ckpt")])
     assert rc == 2
+    assert message in one_error_line(capsys, "config error: ")
 
 
 def test_non_finite_config_value_exits_2(tmp_path, dataset):
@@ -329,10 +365,21 @@ def test_ablate_runs_the_switch_matrix(tmp_path, dataset, capsys):
     assert all("auroc=" in l for l in lines)
 
 
-def test_ablate_rejects_empty_seed_list(tmp_path, dataset, capsys):
+@pytest.mark.parametrize(
+    "seeds, message",
+    [(",", "at least one integer"), ("a,b", "comma-separated integers"), ("0,-1", "seed must be >= 0")],
+    ids=["empty", "not-integers", "negative"],
+)
+def test_ablate_rejects_empty_seed_list(tmp_path, dataset, capsys, monkeypatch, seeds, message):
+    """Every seed is checked before any data is loaded, so no seed trains."""
+    def no_loading(*args, **kwargs):
+        raise AssertionError("data loaded before the seeds were checked")
+
+    monkeypatch.setattr(cli, "load_episodes", no_loading)
     train_path, val_path, test_path = dataset
     cfg = write_config(tmp_path)
-    rc = main(["ablate", "--config", str(cfg), "--seeds", ",",
+    rc = main(["ablate", "--config", str(cfg), "--seeds", seeds,
                "--train-path", str(train_path), "--val-path", str(val_path),
                "--test-path", str(test_path)])
     assert rc == 2
+    assert message in one_error_line(capsys, "config error: ")

@@ -13,7 +13,6 @@ from mmists.harness import (
     NumericalError,
     aggregate_reports,
     evaluate,
-    gate_summary,
     load_checkpoint,
     predict,
     run_seeds,
@@ -21,7 +20,7 @@ from mmists.harness import (
     train,
 )
 from mmists.metrics import EvalReport, evaluate_scores
-from mmists.model import ConfigError, RunConfig, forward, init_model, prepare_episode
+from mmists.model import RunConfig, forward, init_model, prepare_episode
 from mmists.tensor import Tape, bce_with_logits
 
 from conftest import checkpoint_arrays
@@ -448,26 +447,6 @@ def test_zero_logits_predict_half(splits):
         arrays[name][...] = 0.0
     for _, scores in predict(ckpt, te):
         assert scores.tolist() == [0.5]
-
-
-def test_gate_summary_reports_initial_half(splits):
-    tr, va, te = splits
-    ckpt = train(small_config(epochs=0), tr, va)
-    rows = gate_summary(ckpt, te)
-    assert [episode_id for episode_id, _ in rows] == [ep.episode_id for ep in te]
-    for _, g in rows:
-        assert g == 0.5  # zero-initialized gate output layer
-    trained = train(small_config(), tr, va)
-    for _, g in gate_summary(trained, te):
-        assert 0.0 < g < 1.0
-
-
-def test_gate_summary_requires_gated_embedding(splits):
-    tr, va, te = splits
-    for overrides in (dict(ts_embed="imputation"), dict(modality="txt")):  # no gate is built
-        ckpt = train(small_config(epochs=0, **overrides), tr, va)
-        with pytest.raises(ConfigError, match="utde"):
-            gate_summary(ckpt, te)
 
 
 # ------------------------------------------------------------------ aggregation

@@ -23,7 +23,6 @@ from mmists.model import (
     RunConfig,
     collate,
     forward,
-    forward_fused,
     init_model,
     prepare_episode,
     single_modality_forward,
@@ -277,24 +276,24 @@ class TestForward:
     def test_forward_is_deterministic(self, prepared):
         preps, cfg, _ = prepared
         params = init_model(cfg)
-        a = forward_fused(preps[0], params, cfg).data
-        b = forward_fused(preps[0], params, cfg).data
+        a = forward(preps[0], params, cfg).data
+        b = forward(preps[0], params, cfg).data
         assert_array_equal(a, b)
 
     def test_padded_note_mode_runs_and_masks(self, prepared):
         preps, _, _ = prepared
         cfg = small_config(text_irregularity=False)
-        logits = forward_fused(preps[0], init_model(cfg), cfg)
+        logits = forward(preps[0], init_model(cfg), cfg)
         assert logits.shape == (1,)
         txt_cfg = small_config(text_irregularity=False, modality="txt")
-        out_txt = single_modality_forward("txt", preps[0], init_model(txt_cfg), txt_cfg)
-        assert out_txt.shape == (1,)
+        out_txt = single_modality_forward(collate(preps[:1]), init_model(txt_cfg), txt_cfg)
+        assert out_txt.shape == (1, 1)
 
     def test_ts_embed_variants_differ(self, prepared):
         preps, cfg, _ = prepared
         params = init_model(cfg)
         outs = {
-            v: ts_embedding(preps[0], params, small_config(ts_embed=v)).data
+            v: ts_embedding(collate(preps[:1]), params, small_config(ts_embed=v)).data
             for v in ("utde", "imputation", "mtand")
         }
         assert not np.allclose(outs["imputation"], outs["mtand"])
@@ -303,19 +302,20 @@ class TestForward:
     def test_gate_override_reproduces_branches_exactly(self, prepared):
         preps, cfg, _ = prepared
         params = init_model(cfg)
-        imp = ts_embedding(preps[0], params, small_config(ts_embed="imputation")).data
-        att = ts_embedding(preps[0], params, small_config(ts_embed="mtand")).data
-        forced_imp = ts_embedding(preps[0], params, cfg, gate_override=1.0).data
-        forced_att = ts_embedding(preps[0], params, cfg, gate_override=0.0).data
+        batch = collate(preps[:1])
+        imp = ts_embedding(batch, params, small_config(ts_embed="imputation")).data
+        att = ts_embedding(batch, params, small_config(ts_embed="mtand")).data
+        forced_imp = ts_embedding(batch, params, cfg, gate_override=1.0).data
+        forced_att = ts_embedding(batch, params, cfg, gate_override=0.0).data
         assert_array_equal(forced_imp, imp)
         assert_array_equal(forced_att, att)
 
     def test_note_perturbation_moves_fused_logits(self, prepared):
         preps, cfg, _ = prepared
         params = init_model(cfg)
-        base = forward_fused(preps[0], params, cfg).data
+        base = forward(preps[0], params, cfg).data
         bumped = dataclasses.replace(preps[0], note_embs=preps[0].note_embs + 1e-3)
-        moved = forward_fused(bumped, params, cfg).data
+        moved = forward(bumped, params, cfg).data
         assert not np.allclose(base, moved)
 
     def test_backward_reaches_all_active_components(self, prepared):
@@ -323,7 +323,7 @@ class TestForward:
         params = init_model(cfg)
         flat = params.flat()
         with Tape() as tape:
-            logits = forward_fused(preps[0], params, cfg)
+            logits = forward(preps[0], params, cfg)
             tape.backward(bce_with_logits(logits, preps[0].label))
         active = {k: tape.grad(t) for k, t in flat.items()}
         for k in ("bank.omega", "conv_kernel", "ts_interp.w_query", "txt_interp.w_key",

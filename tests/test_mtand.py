@@ -12,12 +12,12 @@ from mmists.mtand import (
     init_time2vec_bank,
     mtand_ts,
     mtand_txt,
+    pad_series,
     time2vec_heads,
 )
 from mmists.tensor import (
     Tape,
     Tensor,
-    masked_softmax,
     matmul,
     reduce_sum,
     reshape,
@@ -62,7 +62,8 @@ def head_interpolations(grid, key_times, values, params):
     values = np.asarray(values, dtype=np.float64)
     v, c = params.bank.n_heads, values.shape[1]
     if c == 1:  # one feature of a time series
-        out = mtand_ts([(np.asarray(key_times, dtype=np.float64), values[:, 0])], grid, params).data
+        series = pad_series([[(np.asarray(key_times, dtype=np.float64), values[:, 0])]])
+        out = mtand_ts(series, grid, params).data[0]
     else:  # note embeddings share their notes' times
         out = mtand_txt(key_times, values, grid, params).data
     return out.reshape(grid.n_points, v, c).transpose(1, 0, 2)
@@ -169,8 +170,8 @@ class TestMtandTs:
     def test_single_observation_per_feature_gives_constant_columns(self):
         rng = np.random.default_rng(38)
         params = make_params(rng, v=2, d_v=4, d_in=3, d_h=5)
-        series = [(np.array([rng.random()]), np.array([c])) for c in (0.2, 0.7, 0.4)]
-        out = mtand_ts(series, ReferenceGrid(4), params).data
+        series = pad_series([[(np.array([rng.random()]), np.array([c])) for c in (0.2, 0.7, 0.4)]])
+        out = mtand_ts(series, ReferenceGrid(4), params).data[0]
         # every grid row attends to the same single values, so rows are identical
         assert_allclose(out, np.tile(out[0], (4, 1)), atol=1e-12)
 
@@ -185,7 +186,7 @@ class TestMtandTs:
             (rng.random(4), rng.normal(size=4)),
         ]
         grid = ReferenceGrid(3)
-        out = mtand_ts(series, grid, params).data
+        out = mtand_ts(pad_series([series]), grid, params).data[0]
         omega, phi = bank.omega.data[0], bank.phi.data[0]
         for j, (times, vals) in enumerate(series):
             want = time_attention_oracle(
@@ -201,7 +202,7 @@ class TestMtandTs:
         rng = np.random.default_rng(40)
         bank = init_time2vec_bank(rng, 2, 4)
         params = init_mtand_params(rng, bank, d_in=2, d_h=3)
-        series = [(np.array([]), np.array([])), (rng.random(3), rng.normal(size=3))]
+        series = pad_series([[(np.array([]), np.array([])), (rng.random(3), rng.normal(size=3))]])
         w = params.w_out.data.copy()
         out = mtand_ts(series, ReferenceGrid(3), params).data
         # zero the weights feeding from the empty feature's slots: output unchanged
@@ -216,21 +217,21 @@ class TestMtandTs:
         bank = init_time2vec_bank(rng, 2, 4)
         params = init_mtand_params(rng, bank, d_in=2, d_h=3)
         params.b_out.data[:] = rng.normal(size=3)
-        empty = [(np.array([]), np.array([]))] * 2
+        empty = pad_series([[(np.array([]), np.array([]))] * 2])
         with Tape() as tape:
             out = mtand_ts(empty, ReferenceGrid(3), params)
             tape.backward(reduce_sum(out))
-        assert_allclose(out.data, np.broadcast_to(params.b_out.data, (3, 3)), atol=1e-15)
+        assert_allclose(out.data[0], np.broadcast_to(params.b_out.data, (3, 3)), atol=1e-15)
         assert tape.grad_or_none(bank.omega) is None  # no key was embedded
 
     def test_shape_contract(self):
         rng = np.random.default_rng(41)
         bank = init_time2vec_bank(rng, 8, 6)
         params = init_mtand_params(rng, bank, d_in=17, d_h=64)
-        series = [(rng.random(2), rng.normal(size=2)) for _ in range(17)]
+        series = pad_series([[(rng.random(2), rng.normal(size=2)) for _ in range(17)]])
         assert params.w_out.shape == (8 * 17, 64)
         out = mtand_ts(series, ReferenceGrid(48), params)
-        assert out.shape == (48, 64)
+        assert out.shape == (1, 48, 64)
 
 
 class TestMtandTxt:
@@ -288,7 +289,7 @@ class TestSharedBankGradients:
         ts_params = init_mtand_params(rng, bank, d_in=2, d_h=3)
         txt_params = init_mtand_params(rng, bank, d_in=5, d_h=3)
         grid = ReferenceGrid(4)
-        series = [(rng.random(3), rng.normal(size=3)), (rng.random(2), rng.normal(size=2))]
+        series = pad_series([[(rng.random(3), rng.normal(size=3)), (rng.random(2), rng.normal(size=2))]])
         note_times = rng.random(3)
         note_embs = rng.normal(size=(3, 5))
 
@@ -329,7 +330,7 @@ class TestPhaseShiftScoreIdentity:
         q = matmul(reshape(time2vec_heads(q_times, bank), (len(q_times), len(bank_omega))), Tensor(w_q))
         k = matmul(reshape(time2vec_heads(k_times, bank), (len(k_times), len(bank_omega))), Tensor(w_k))
         scores = matmul(q, swapaxes(k, 0, 1)) * (len(bank_omega) ** -0.5)
-        return masked_softmax(scores, None)[0].data
+        return softmax_rows(scores.data)
 
     def test_shift_invariance_requires_zero_linear_key_weight(self):
         rng = np.random.default_rng(48)
