@@ -380,14 +380,6 @@ class GenConfig:
     sparsity: float = 0.3  # expected observations per feature per hour
     task: str = "ts_only"  # ts_only | notes_only | xor_fusion
     seed: int = 0
-    obs_noise: float = 0.05
-    drift_scale: float = 2.0
-    n_waves: int = 3
-    wave_amp: tuple[float, float] = (0.05, 0.25)
-    wave_freq: tuple[float, float] = (0.5, 2.5)  # cycles per window
-    note_rate: float = 1.5  # extra notes beyond the guaranteed first
-    note_strength: float = 1.0
-    note_noise: float = 0.3
 
     def __post_init__(self) -> None:
         if self.n_episodes < 1:
@@ -400,10 +392,23 @@ class GenConfig:
             raise DataError(f"alpha_hours must be finite and positive, got {self.alpha_hours}")
         if not 0.0 < self.sparsity <= 1.0:
             raise DataError(f"sparsity must be in (0,1], got {self.sparsity}")
+        if self.sparsity * self.alpha_hours > _MAX_EXPECTED_OBS:
+            raise DataError(f"sparsity * alpha_hours must be <= {_MAX_EXPECTED_OBS:g} expected observations")
+        if self.text_dim < 1:
+            raise DataError(f"text_dim must be >= 1, got {self.text_dim}")
         if self.task not in ("ts_only", "notes_only", "xor_fusion"):
             raise DataError(f"unknown task {self.task!r}")
 
 
+_OBS_NOISE = 0.05
+_DRIFT_SCALE = 2.0
+_N_WAVES = 3
+_WAVE_AMP = (0.05, 0.25)
+_WAVE_FREQ = (0.5, 2.5)  # cycles per window
+_NOTE_RATE = 1.5  # extra notes beyond the guaranteed first
+_NOTE_STRENGTH = 1.0
+_NOTE_NOISE = 0.3
+_MAX_EXPECTED_OBS = 1e6  # per feature and episode; a million puts tens of MB on one JSONL line
 _TAIL_START = 0.75  # label statistic averages the latent over the window's last quarter
 
 
@@ -444,10 +449,10 @@ def generate_synthetic_with_trace(config: GenConfig) -> tuple[list[Episode], dic
     rows: list[dict] = []
     for i in range(cfg.n_episodes):
         rng = np.random.default_rng([cfg.seed, 1, i])
-        drift = rng.normal(0.0, cfg.drift_scale, size=cfg.n_features)
-        amps = rng.uniform(*cfg.wave_amp, size=(cfg.n_features, cfg.n_waves))
-        freqs = rng.uniform(*cfg.wave_freq, size=(cfg.n_features, cfg.n_waves))
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.n_features, cfg.n_waves))
+        drift = rng.normal(0.0, _DRIFT_SCALE, size=cfg.n_features)
+        amps = rng.uniform(*_WAVE_AMP, size=(cfg.n_features, _N_WAVES))
+        freqs = rng.uniform(*_WAVE_FREQ, size=(cfg.n_features, _N_WAVES))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.n_features, _N_WAVES))
         stat = _tail_mean(drift[0], amps[0], freqs[0], phases[0])
         ts_bit = int(stat > 0.0)
         note_bit = int(rng.random() < 0.5)
@@ -457,13 +462,13 @@ def generate_synthetic_with_trace(config: GenConfig) -> tuple[list[Episode], dic
             count = rng.poisson(cfg.sparsity * cfg.alpha_hours)
             times = np.sort(rng.uniform(0.0, cfg.alpha_hours, size=count))
             values = _latent(times / cfg.alpha_hours, drift[f], amps[f], freqs[f], phases[f])
-            values = values + rng.normal(0.0, cfg.obs_noise, size=count)
+            values = values + rng.normal(0.0, _OBS_NOISE, size=count)
             obs.extend(TsObservation(f, float(t), float(v)) for t, v in zip(times, values))
 
-        n_notes = 1 + rng.poisson(cfg.note_rate)
+        n_notes = 1 + rng.poisson(_NOTE_RATE)
         note_times = np.sort(rng.uniform(0.0, cfg.alpha_hours, size=n_notes))
         sign = 2.0 * note_bit - 1.0
-        embs = sign * cfg.note_strength * u + rng.normal(0.0, cfg.note_noise, size=(n_notes, cfg.text_dim))
+        embs = sign * _NOTE_STRENGTH * u + rng.normal(0.0, _NOTE_NOISE, size=(n_notes, cfg.text_dim))
         notes = tuple(NoteEvent(float(t), embedding=e.copy()) for t, e in zip(note_times, embs))
 
         if cfg.task == "ts_only":

@@ -3,7 +3,7 @@ cross-attention against the other stream's fresh self-attention output, and a
 position-wise feed-forward, all pre-layer-norm with residuals.
 
 Every function takes [T x d] streams or [G x T x d] groups of them; key
-masks and classifier rows follow the same leading axes.
+masks and stack rows follow the same leading axes.
 
 The stack itself is residual-pure (zeroing every sublayer's output projection
 makes it the identity); the model applies a final layer norm separately.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, attention, concat, gather_rows, layer_norm, linear, relu, reshape
+from .tensor import ShapeError, Tensor, attention, concat, gather_rows, layer_norm, linear, relu, reshape
 
 __all__ = [
     "AttentionParams",
@@ -242,26 +242,20 @@ def single_stack(
     return x
 
 
-def classify(
-    z_ts: Tensor,
-    z_txt: Tensor,
-    p: ClassifierParams,
-    ts_row,
-    txt_row,
-) -> Tensor:
-    """Concat the two streams' designated hidden rows -> FC -> logits [... x n_out].
-
-    A row is an int, or one index per stream of a group.
-    """
-    joined = concat([gather_rows(z_ts, ts_row), gather_rows(z_txt, txt_row)], axis=-1)
-    return _head(joined, p, z_ts.shape[:-2])
+def classify(z_ts: Tensor, z_txt: Tensor, p: ClassifierParams) -> Tensor:
+    """Concat the two streams' single rows [... x 1 x d] -> FC -> logits [... x n_out]."""
+    return _head([z_ts, z_txt], p)
 
 
-def classify_single(z: Tensor, p: ClassifierParams, row) -> Tensor:
-    return _head(gather_rows(z, row), p, z.shape[:-2])
+def classify_single(z: Tensor, p: ClassifierParams) -> Tensor:
+    return _head([z], p)
 
 
-def _head(x: Tensor, p: ClassifierParams, lead: tuple[int, ...]) -> Tensor:
-    hidden = relu(linear(x, p.w_hidden, p.b_hidden))  # x: [... x 1 x d_in]
+def _head(streams: list[Tensor], p: ClassifierParams) -> Tensor:
+    """The stacks pick the row the classifier reads, so each stream has one."""
+    if any(z.ndim < 2 or z.shape[-2] != 1 for z in streams):
+        raise ShapeError(f"the classifier reads streams of one row, got {[z.shape for z in streams]}")
+    x = concat(streams, axis=-1) if len(streams) > 1 else streams[0]
+    hidden = relu(linear(x, p.w_hidden, p.b_hidden))
     logits = linear(hidden, p.w_out, p.b_out)
-    return reshape(logits, lead + logits.shape[-1:])
+    return reshape(logits, x.shape[:-2] + logits.shape[-1:])

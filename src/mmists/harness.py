@@ -18,7 +18,8 @@ import dataclasses
 import json
 import logging
 import math
-import zipfile
+import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,15 +102,15 @@ def _check_index(index: list, layout: list) -> None:
         raise DataError(f"checkpoint index lists {listed} where the model has {built}")
 
 
-# Version 2 stores every parameter in one float64 buffer, in the order the
-# meta "index" of (name, shape) pairs lists them, next to the JSON meta: two
-# npz members instead of one per parameter tensor.
-CHECKPOINT_FORMAT = 2
-_FIXED_ZIP_TIME = (1980, 1, 1, 0, 0, 0)  # member timestamps, so equal checkpoints give equal bytes
-_READ_BYTES = 1 << 18
+# Version 3: line 1 is the JSON meta, whose "index" of (name, shape) pairs
+# orders the parameters and whose "crc32" checks the rest of the file, every
+# parameter value as one little-endian float64 buffer.
+CHECKPOINT_FORMAT = 3
+_MAX_META_BYTES = 1 << 20  # a file with no newline within this many bytes is not a checkpoint
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    params = np.ascontiguousarray(ckpt.buffer, dtype="<f8").data
     meta = {
         "format_version": CHECKPOINT_FORMAT,
         "config": dataclasses.asdict(ckpt.config),
@@ -118,55 +119,33 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "metric_name": ckpt.metric_name,
         "metric_value": ckpt.metric_value,
         "index": [[name, list(shape)] for name, shape in ckpt.index],
+        "crc32": zlib.crc32(params),
     }
-    # np.savez stamps each member with the current time; an npz written with
-    # a fixed stamp loads the same way through np.load
-    with open(path, "wb") as f, zipfile.ZipFile(f, "w", zipfile.ZIP_STORED) as bundle:
-        with bundle.open(zipfile.ZipInfo("meta.npy", date_time=_FIXED_ZIP_TIME), "w") as member:
-            meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-            np.lib.format.write_array(member, meta_bytes, allow_pickle=False)
-        params = zipfile.ZipInfo("params.npy", date_time=_FIXED_ZIP_TIME)
-        with bundle.open(params, "w", force_zip64=True) as member:
-            header = {"descr": "<f8", "fortran_order": False, "shape": (ckpt.buffer.size,)}
-            np.lib.format.write_array_header_1_0(member, header)
-            member.write(np.ascontiguousarray(ckpt.buffer, dtype="<f8").data)
-
-
-def _read_params(bundle: zipfile.ZipFile, index: list[tuple[str, tuple[int, ...]]]) -> np.ndarray:
-    """Read the parameter buffer, checked against the index, into one array."""
-    if any(n < 0 for _, dims in index for n in dims):
-        raise ValueError("checkpoint index has a negative dimension")
-    listed = sum(math.prod(dims) for _, dims in index)
-    with bundle.open("params.npy") as member:
-        version = np.lib.format.read_magic(member)
-        if version != (1, 0):  # what save_checkpoint and np.savez write for a 1-d array
-            raise ValueError(f"parameter buffer has npy format {version}")
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
-        stored = bundle.getinfo("params.npy").file_size - member.tell()
-        if dtype != np.dtype("<f8") or fortran_order or shape != (listed,) or stored != 8 * listed:
-            raise ValueError(
-                f"parameter buffer is {dtype} {shape} in {stored} bytes; the index lists {listed} values"
-            )
-        buffer = np.empty(listed)
-        view = memoryview(buffer).cast("B")
-        for at in range(0, stored, _READ_BYTES):  # a zip member reads via a temporary of the request's size
-            if member.readinto(view[at : at + _READ_BYTES]) != min(_READ_BYTES, stored - at):
-                raise ValueError("parameter buffer is truncated")
-    return buffer
+    with open(path, "wb") as f:
+        f.write(json.dumps(meta).encode("utf-8") + b"\n")
+        f.write(params)
 
 
 def load_checkpoint(path) -> Checkpoint:
     try:
-        with zipfile.ZipFile(path) as bundle:
-            with bundle.open("meta.npy") as member:
-                meta = json.loads(np.lib.format.read_array(member).tobytes().decode("utf-8"))
+        with open(path, "rb") as f:
+            line = f.readline(_MAX_META_BYTES)
+            if not (line.startswith(b"{") and line.endswith(b"\n")):
+                raise ValueError(f"no JSON meta line within its first {_MAX_META_BYTES} bytes")
+            meta = json.loads(line)
             version = meta.get("format_version")
             if version != CHECKPOINT_FORMAT:
-                raise ValueError(
-                    f"checkpoint format version {version}, this release reads {CHECKPOINT_FORMAT}"
-                )
+                raise ValueError(f"checkpoint format version {version}, this release reads {CHECKPOINT_FORMAT}")
             index = [(str(name), tuple(int(n) for n in dims)) for name, dims in meta["index"]]
-            buffer = _read_params(bundle, index)
+            if any(n < 0 for _, dims in index for n in dims):
+                raise ValueError("checkpoint index has a negative dimension")
+            listed = sum(math.prod(dims) for _, dims in index)
+            stored = os.fstat(f.fileno()).st_size - f.tell()
+            if stored != 8 * listed:  # checked before allocating what the index asks for
+                raise ValueError(f"parameter buffer is {stored} bytes; the index lists {listed} values")
+            buffer = np.empty(listed, dtype="<f8")
+            if f.readinto(buffer) != stored or zlib.crc32(buffer) != meta["crc32"]:
+                raise ValueError("parameter buffer fails its crc32 check")
         return Checkpoint(
             buffer=buffer,
             index=index,
@@ -176,7 +155,7 @@ def load_checkpoint(path) -> Checkpoint:
             metric_name=str(meta["metric_name"]),
             metric_value=float(meta["metric_value"]),
         )
-    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
+    except (OSError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"unreadable checkpoint {path}: {e}") from e
 
 

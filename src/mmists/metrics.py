@@ -42,16 +42,7 @@ def _check_pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
 def f1_binary(scores, labels, threshold: float = 0.5) -> float:
     """F1 of (score >= threshold) predictions; 0 when precision+recall is 0
     or the labels contain no positives."""
-    s, y = _check_pair(scores, labels)
-    pred = s >= threshold
-    tp = int(np.sum(pred & (y == 1)))
-    fp = int(np.sum(pred & (y == 0)))
-    fn = int(np.sum(~pred & (y == 1)))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2.0 * precision * recall / (precision + recall)
+    return _prf(scores, labels, threshold)["f1"]
 
 
 def _prf(scores, labels, threshold: float) -> dict:

@@ -429,7 +429,7 @@ def forward_fused(batch: EpisodeBatch, params: ModelParams, config: RunConfig) -
     )  # [G x 1 x d_h] each: only the rows the head reads
     z_ts = layer_norm(z_ts, params.fused_ln_ts.gain, params.fused_ln_ts.bias)
     z_txt = layer_norm(z_txt, params.fused_ln_txt.gain, params.fused_ln_txt.bias)
-    return classify(z_ts, z_txt, params.fused_head, ts_row=0, txt_row=0)
+    return classify(z_ts, z_txt, params.fused_head)
 
 
 def single_modality_forward(batch: EpisodeBatch, params: ModelParams, config: RunConfig) -> Tensor:
@@ -438,12 +438,12 @@ def single_modality_forward(batch: EpisodeBatch, params: ModelParams, config: Ru
         z = ts_embedding(batch, params, config)
         h = single_stack(z, params.ts_stack, config.heads, row=config.alpha - 1)
         h = layer_norm(h, params.ts_ln.gain, params.ts_ln.bias)
-        return classify_single(h, params.ts_head, row=0)
+        return classify_single(h, params.ts_head)
     if config.modality == "txt":
         z, mask, row = _txt_stream(batch, params, config)
         h = single_stack(z, params.txt_stack, config.heads, key_mask=mask, row=row)
         h = layer_norm(h, params.txt_ln.gain, params.txt_ln.bias)
-        return classify_single(h, params.txt_head, row=0)
+        return classify_single(h, params.txt_head)
     raise ConfigError(f"single-modality forward needs modality 'ts' or 'txt', got {config.modality!r}")
 
 

@@ -112,6 +112,9 @@ def test_gen_is_deterministic_and_loadable(tmp_path):
         ("--alpha-hours", "-3", "alpha_hours must be finite and positive"),
         ("--alpha-hours", "nan", "alpha_hours must be finite and positive"),
         ("--alpha-hours", "inf", "alpha_hours must be finite and positive"),
+        ("--alpha-hours", "1e300", "sparsity * alpha_hours must be <= 1e+06 expected observations"),
+        ("--text-dim", "0", "text_dim must be >= 1"),
+        ("--text-dim", "-1", "text_dim must be >= 1"),
     ],
 )
 def test_gen_rejects_bad_value_exits_3(tmp_path, capsys, flag, value, message):

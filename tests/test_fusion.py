@@ -19,7 +19,7 @@ from mmists.fusion import (
     self_attend,
     single_stack,
 )
-from mmists.tensor import Tensor
+from mmists.tensor import ShapeError, Tensor, gather_rows
 from oracles import layer_norm_oracle, multihead_attention_oracle
 
 D = 8
@@ -234,23 +234,24 @@ class TestClassify:
             b_out=Tensor(np.array([0.5, -1.0, 2.0])),
         )
         rng = np.random.default_rng(74)
-        logits = classify(Tensor(rng.normal(size=(4, D))), Tensor(rng.normal(size=(4, D))), p, 3, 3)
+        z_ts, z_txt = Tensor(rng.normal(size=(4, D))), Tensor(rng.normal(size=(4, D)))
+        logits = classify(gather_rows(z_ts, 3), gather_rows(z_txt, 3), p)
         assert_allclose(logits.data, [0.5, -1.0, 2.0])
 
     def test_head_widths(self):
         rng = np.random.default_rng(75)
-        z = Tensor(rng.normal(size=(4, D)))
+        z = gather_rows(Tensor(rng.normal(size=(4, D))), 3)
         binary = init_classifier(rng, 2 * D, D, 1)
-        assert classify(z, z, binary, 3, 3).shape == (1,)
+        assert classify(z, z, binary).shape == (1,)
         multi = init_classifier(rng, 2 * D, D, 25)
-        assert classify(z, z, multi, 3, 3).shape == (25,)
+        assert classify(z, z, multi).shape == (25,)
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(76)
         p = init_classifier(rng, 2 * D, D, 2)
         z_ts = rng.normal(size=(4, D))
         z_txt = rng.normal(size=(4, D))
-        got = classify(Tensor(z_ts), Tensor(z_txt), p, ts_row=3, txt_row=1).data
+        got = classify(gather_rows(Tensor(z_ts), 3), gather_rows(Tensor(z_txt), 1), p).data
         joined = np.concatenate([z_ts[3], z_txt[1]])
         want = np.maximum(joined @ p.w_hidden.data + p.b_hidden.data, 0.0) @ p.w_out.data + p.b_out.data
         assert_allclose(got, want, atol=1e-12)
@@ -259,6 +260,15 @@ class TestClassify:
         rng = np.random.default_rng(77)
         p = init_classifier(rng, D, D, 1)
         z = rng.normal(size=(5, D))
-        got = classify_single(Tensor(z), p, row=2).data
+        got = classify_single(gather_rows(Tensor(z), 2), p).data
         want = np.maximum(z[2] @ p.w_hidden.data + p.b_hidden.data, 0.0) @ p.w_out.data + p.b_out.data
         assert_allclose(got, want, atol=1e-12)
+
+    def test_streams_of_more_than_one_row_raise_shape_error(self):
+        rng = np.random.default_rng(78)
+        p = init_classifier(rng, 2 * D, D, 1)
+        one, five = Tensor(rng.normal(size=(1, D))), Tensor(rng.normal(size=(5, D)))
+        with pytest.raises(ShapeError, match="one row"):
+            classify(one, five, p)
+        with pytest.raises(ShapeError, match="one row"):
+            classify_single(five, init_classifier(rng, D, D, 1))

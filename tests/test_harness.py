@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -248,6 +249,18 @@ def test_build_params_fills_the_checkpoint_without_a_random_init(splits, monkeyp
     assert params.ts_interp.bank is params.txt_interp.bank
 
 
+def read_checkpoint_file(path) -> tuple[dict, np.ndarray]:
+    """The meta line and the parameter buffer of a checkpoint file."""
+    meta, _, params = path.read_bytes().partition(b"\n")
+    return json.loads(meta), np.frombuffer(params, dtype="<f8")
+
+
+def write_checkpoint_file(path, meta: dict, values: np.ndarray) -> None:
+    """Write ``meta`` (its crc32 set to match) and ``values`` in the checkpoint layout."""
+    params = np.asarray(values, dtype="<f8").tobytes()
+    path.write_bytes(json.dumps(dict(meta, crc32=zlib.crc32(params))).encode("utf-8") + b"\n" + params)
+
+
 def test_checkpoint_is_one_parameter_buffer_with_reproducible_bytes(tmp_path, splits):
     tr, va, _ = splits
     ckpt = train(small_config(modality="fused", epochs=1), tr, va)
@@ -256,12 +269,12 @@ def test_checkpoint_is_one_parameter_buffer_with_reproducible_bytes(tmp_path, sp
     save_checkpoint(second, load_checkpoint(first))
     assert first.read_bytes() == second.read_bytes()
     arrays = checkpoint_arrays(ckpt)
-    with np.load(first) as bundle:
-        assert sorted(bundle.files) == ["meta", "params"]
-        meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
-        assert meta["format_version"] == 2
-        assert [name for name, _ in meta["index"]] == list(arrays)
-        assert bundle["params"].size == sum(a.size for a in arrays.values())
+    meta, params = read_checkpoint_file(first)
+    assert meta["format_version"] == 3
+    assert [name for name, _ in meta["index"]] == list(arrays)
+    assert meta["crc32"] == zlib.crc32(params)
+    assert params.size == sum(a.size for a in arrays.values())  # exactly 8 bytes a value after line 1
+    np.testing.assert_array_equal(params, ckpt.buffer)
     loaded = checkpoint_arrays(load_checkpoint(first))
     assert list(loaded) == list(arrays)
     for name, value in arrays.items():
@@ -269,45 +282,62 @@ def test_checkpoint_is_one_parameter_buffer_with_reproducible_bytes(tmp_path, sp
         np.testing.assert_array_equal(loaded[name], value)
 
 
-def _write_npz(path, **members) -> None:
-    with open(path, "wb") as f:
-        np.savez(f, **members)
-
-
-def test_checkpoint_without_format_version_2_raises_data_error(tmp_path, splits):
+def test_checkpoint_without_format_version_raises_data_error(tmp_path, splits):
     tr, va, _ = splits
     ckpt = train(small_config(epochs=0), tr, va)
     path = tmp_path / "old.ckpt"
     save_checkpoint(path, ckpt)
-    with np.load(path) as bundle:
-        meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
+    meta, params = read_checkpoint_file(path)
     del meta["format_version"], meta["index"]
-    old = {f"param/{name}": value for name, value in checkpoint_arrays(ckpt).items()}  # one member per tensor
-    _write_npz(path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **old)
+    write_checkpoint_file(path, meta, params)
     with pytest.raises(DataError, match="format version None"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("cut", [1, -1], ids=["short-buffer", "long-buffer"])
-def test_checkpoint_buffer_disagreeing_with_its_index_raises_data_error(tmp_path, splits, cut):
+def test_version_2_checkpoint_exits_3(tmp_path, splits, capsys):
+    from mmists.cli import main
+
+    tr, va, te = splits
+    ckpt = train(small_config(epochs=0), tr, va)
+    path = tmp_path / "v2.ckpt"
+    save_checkpoint(path, ckpt)
+    meta, params = read_checkpoint_file(path)
+    meta["format_version"] = 2
+    del meta["crc32"]
+    with open(path, "wb") as f:  # the npz layout of format 2: a JSON meta member and the buffer
+        np.savez(f, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), params=params)
+    with pytest.raises(DataError, match="unreadable checkpoint .*no JSON meta line"):
+        load_checkpoint(path)
+    data = tmp_path / "test.jsonl"
+    save_episodes(data, te)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 3
+    assert capsys.readouterr().err.startswith("data error: unreadable checkpoint")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data[:-8], "parameter buffer is"),
+        (lambda data: data + bytes(8), "parameter buffer is"),
+        (lambda data: data[:-100] + bytes([data[-100] ^ 1]) + data[-99:], "crc32"),
+    ],
+    ids=["short-buffer", "long-buffer", "flipped-byte"],
+)
+def test_checkpoint_buffer_disagreeing_with_its_meta_raises_data_error(tmp_path, splits, edit, message):
     tr, va, _ = splits
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, train(small_config(epochs=0), tr, va))
-    with np.load(path) as bundle:
-        meta, params = bundle["meta"], bundle["params"]
-    params = params[:-cut] if cut > 0 else np.concatenate([params, [0.0]])
-    _write_npz(path, meta=meta, params=params)
-    with pytest.raises(DataError, match="unreadable checkpoint"):
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(DataError, match=f"unreadable checkpoint .*{message}"):
         load_checkpoint(path)
 
 
 def _edit_parameters(path, edit) -> None:
     """Rewrite a checkpoint through ``edit(index, values) -> (index, values)``,
     keeping the buffer consistent with the index so the file itself loads."""
-    with np.load(path) as bundle:
-        meta, values = json.loads(bundle["meta"].tobytes().decode("utf-8")), bundle["params"]
+    meta, values = read_checkpoint_file(path)
     meta["index"], values = edit(meta["index"], values)
-    _write_npz(path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), params=values)
+    write_checkpoint_file(path, meta, values)
 
 
 @pytest.mark.parametrize(
@@ -376,21 +406,22 @@ def test_checkpoint_of_every_variant_raises_data_error_and_exits_3(tmp_path, spl
     assert err.startswith(f"data error: {message}") and err.count("\n") == 1
 
 
-def test_corrupt_checkpoint_raises_data_error(tmp_path):
+@pytest.mark.parametrize(
+    "contents",
+    [b"not a checkpoint", b"{" + b" " * harness._MAX_META_BYTES + b"}\n"],
+    ids=["garbage", "meta-line-past-the-cap"],
+)
+def test_corrupt_checkpoint_raises_data_error(tmp_path, contents):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"not a checkpoint")
-    with pytest.raises(DataError, match="unreadable checkpoint"):
+    path.write_bytes(contents)
+    with pytest.raises(DataError, match="unreadable checkpoint .*no JSON meta line"):
         load_checkpoint(path)
 
 
 def _rewrite_meta(path, edit) -> None:
-    with np.load(path) as bundle:
-        payload = {key: bundle[key] for key in bundle.files}
-    meta = json.loads(payload["meta"].tobytes().decode("utf-8"))
+    meta, params = read_checkpoint_file(path)
     edit(meta)
-    payload["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as f:
-        np.savez(f, **payload)
+    write_checkpoint_file(path, meta, params)
 
 
 @pytest.mark.parametrize(
@@ -400,8 +431,9 @@ def _rewrite_meta(path, edit) -> None:
         lambda meta: meta.pop("stats"),
         lambda meta: meta["config"].update(lr="fast"),
         lambda meta: meta["index"][0][1].insert(0, -1),
+        lambda meta: meta["index"][0][1].insert(0, 10**12),
     ],
-    ids=["unknown-config-key", "missing-stats", "bad-config-value", "negative-index-dim"],
+    ids=["unknown-config-key", "missing-stats", "bad-config-value", "negative-index-dim", "huge-index-dim"],
 )
 def test_malformed_checkpoint_meta_raises_data_error(tmp_path, splits, edit):
     tr, va, _ = splits

@@ -30,7 +30,7 @@ from mmists.model import (
 )
 from mmists import model
 from mmists.fusion import classify, classify_single, fusion_stack, single_stack
-from mmists.tensor import Tape, Tensor, bce_with_logits, layer_norm
+from mmists.tensor import Tape, Tensor, bce_with_logits, gather_rows, layer_norm
 
 SMALL = dict(
     alpha=6, n_features=3, text_dim=8, d_hidden=8, d_timeembed=4,
@@ -428,7 +428,7 @@ class TestGroups:
         z[:l] = prep.note_embs @ params.note_proj_w.data + params.note_proj_b.data
         h = single_stack(Tensor(z), params.txt_stack, cfg.heads, key_mask=np.arange(cfg.alpha) < l)
         h = layer_norm(h, params.txt_ln.gain, params.txt_ln.bias)
-        want = classify_single(h, params.txt_head, row=l - 1).data
+        want = classify_single(gather_rows(h, l - 1), params.txt_head).data
         assert np.max(np.abs(forward(collate(preps), params, cfg).data[member] - want)) <= 1e-12
 
 
@@ -442,7 +442,7 @@ def full_row_logits(batch, params, cfg):
         assert z_ts.shape[-2] == z_txt.shape[-2] == cfg.alpha
         z_ts = layer_norm(z_ts, params.fused_ln_ts.gain, params.fused_ln_ts.bias)
         z_txt = layer_norm(z_txt, params.fused_ln_txt.gain, params.fused_ln_txt.bias)
-        return classify(z_ts, z_txt, params.fused_head, ts_row=cfg.alpha - 1, txt_row=txt_row)
+        return classify(gather_rows(z_ts, cfg.alpha - 1), gather_rows(z_txt, txt_row), params.fused_head)
     if cfg.modality == "ts":
         z, mask, row = ts_embedding(batch, params, cfg), None, cfg.alpha - 1
         stack, ln, head = params.ts_stack, params.ts_ln, params.ts_head
@@ -451,7 +451,7 @@ def full_row_logits(batch, params, cfg):
         stack, ln, head = params.txt_stack, params.txt_ln, params.txt_head
     h = single_stack(z, stack, cfg.heads, key_mask=mask)
     assert h.shape[-2] == cfg.alpha
-    return classify_single(layer_norm(h, ln.gain, ln.bias), head, row=row)
+    return classify_single(gather_rows(layer_norm(h, ln.gain, ln.bias), row), head)
 
 
 class TestRowPruning:
