@@ -91,6 +91,23 @@ class NormalizationStats:
     global_mean: np.ndarray  # of rescaled values, in [0,1]
     alpha_hours: float
 
+    def __post_init__(self) -> None:
+        lo, hi, mean = self.feature_min, self.feature_max, self.global_mean
+        if not (lo.ndim == hi.ndim == mean.ndim == 1 and 0 < lo.size == hi.size == mean.size):
+            raise DataError(
+                "normalization stats need min, max and global_mean vectors of one non-zero length, "
+                f"got shapes {lo.shape}, {hi.shape} and {mean.shape}"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = hi - lo
+        bad = ~(np.isfinite(span) & (span >= 0.0))
+        if bad.any():
+            raise DataError(f"normalization stats: feature {int(np.argmax(bad))} has max - min {span[bad][0]}")
+        if not ((mean >= 0.0) & (mean <= 1.0)).all():
+            raise DataError("normalization stats: a global mean lies outside [0, 1]")
+        if not (math.isfinite(self.alpha_hours) and self.alpha_hours > 0):
+            raise DataError(f"normalization stats: alpha_hours {self.alpha_hours} is not finite and positive")
+
 
 _STABLE = "stable"
 
@@ -275,8 +292,9 @@ def _normalize_episode(ep: Episode, stats: NormalizationStats) -> Episode:
         f = o.feature_index
         if span[f] == 0.0:
             v = 0.5
-        else:
-            v = min(max((o.value - stats.feature_min[f]) / span[f], 0.0), 1.0)
+        else:  # clipped before the subtraction, which then cannot overflow
+            lo = stats.feature_min[f]
+            v = (min(max(o.value, lo), stats.feature_max[f]) - lo) / span[f]
         obs.append(TsObservation(f, t, v))
     notes = tuple(replace(n, time=min(n.time / stats.alpha_hours, 1.0)) for n in ep.notes)
     return replace(ep, observations=tuple(obs), notes=notes)

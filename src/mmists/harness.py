@@ -7,9 +7,10 @@ tape per group with its loss weighted by its share of the batch, so the
 summed gradients are the batch mean; scoring runs in the same groups. The
 best validation snapshot is kept with earliest-epoch tie-breaking.
 
-``adam_init`` packs the parameters into one flat buffer; each group's backward
-adds into views of the optimizer's gradient buffer, and the best snapshot is
-one copy of the parameter buffer, made only before a step would change it.
+Adam updates the model's flat parameter buffer in place; each group's
+backward adds into views of the optimizer's gradient buffer, and the best
+snapshot is one copy of the parameter buffer, made only before a step would
+change it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .model import (
     model_skeleton,
     prepare_episode,
 )
-from .tensor import Tape, adam_init, adam_step, adopt, bce_with_logits
+from .tensor import Tape, adam_init, adam_step, bce_with_logits, buffer_views
 from .tensor import _sigmoid as _sigmoid_np
 
 log = logging.getLogger(__name__)
@@ -84,11 +85,10 @@ class Checkpoint:
     metric_value: float
 
     def build_params(self) -> ModelParams:
-        """The config's model holding a copy of ``buffer``; DataError if the index disagrees."""
+        """The config's model viewing ``buffer`` itself; DataError if the index disagrees."""
         params = model_skeleton(self.config)
-        flat = params.flat()
-        _check_index(self.index, [(name, t.shape) for name, t in flat.items()])
-        adopt(list(flat.values()), self.buffer.copy())
+        _check_index(self.index, [(name, t.shape) for name, t in params.flat().items()])
+        params.adopt(self.buffer)
         return params
 
 
@@ -146,11 +146,15 @@ def load_checkpoint(path) -> Checkpoint:
             buffer = np.empty(listed, dtype="<f8")
             if f.readinto(buffer) != stored or zlib.crc32(buffer) != meta["crc32"]:
                 raise ValueError("parameter buffer fails its crc32 check")
+        config = RunConfig(**meta["config"]).validate()
+        stats = stats_from_record(meta["stats"])
+        if stats.feature_min.size != config.n_features:
+            raise ValueError(f"stats cover {stats.feature_min.size} features, the config has {config.n_features}")
         return Checkpoint(
             buffer=buffer,
             index=index,
-            config=RunConfig(**meta["config"]).validate(),
-            stats=stats_from_record(meta["stats"]),
+            config=config,
+            stats=stats,
             epoch=int(meta["epoch"]),
             metric_name=str(meta["metric_name"]),
             metric_value=float(meta["metric_value"]),
@@ -225,8 +229,8 @@ def train(
 
     params = init_model(config)
     flat = params.flat()
-    opt = adam_init(flat, lr=config.lr)
-    into = {t: opt.grads[name] for name, t in flat.items()}
+    opt = adam_init(params.buffer, lr=config.lr)
+    into = dict(zip(flat.values(), buffer_views(opt.grad_buffer, [t.shape for t in flat.values()])))
     metric_name = "f1" if config.task == "binary" else "macro_f1"
 
     val_prepared = _prepare_split(config, stats, val_episodes)
@@ -269,7 +273,7 @@ def train(
                 if total > config.grad_clip:
                     opt.grad_buffer *= config.grad_clip / total
             if best_buffer is None:
-                best_buffer = opt.param_buffer.copy()
+                best_buffer = params.buffer.copy()
             adam_step(flat, opt)
             epoch_losses.append(batch_loss)
             if loss_trace is not None:
@@ -286,7 +290,7 @@ def train(
             best_epoch = epoch
 
     return Checkpoint(
-        buffer=opt.param_buffer if best_buffer is None else best_buffer,
+        buffer=params.buffer if best_buffer is None else best_buffer,
         index=[(name, t.shape) for name, t in flat.items()],
         config=config,
         stats=stats,

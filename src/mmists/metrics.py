@@ -28,6 +28,9 @@ class UndefinedMetricError(ValueError):
     """The metric has no value on this input (e.g. single-class labels)."""
 
 
+THRESHOLD = 0.5  # a score at or above it predicts the positive class
+
+
 def _check_pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     y = np.asarray(labels).reshape(-1)
@@ -39,15 +42,15 @@ def _check_pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
-def f1_binary(scores, labels, threshold: float = 0.5) -> float:
-    """F1 of (score >= threshold) predictions; 0 when precision+recall is 0
+def f1_binary(scores, labels) -> float:
+    """F1 of (score >= THRESHOLD) predictions; 0 when precision+recall is 0
     or the labels contain no positives."""
-    return _prf(scores, labels, threshold)["f1"]
+    return _prf(scores, labels)["f1"]
 
 
-def _prf(scores, labels, threshold: float) -> dict:
+def _prf(scores, labels) -> dict:
     s, y = _check_pair(scores, labels)
-    pred = s >= threshold
+    pred = s >= THRESHOLD
     tp = int(np.sum(pred & (y == 1)))
     fp = int(np.sum(pred & (y == 0)))
     fn = int(np.sum(~pred & (y == 1)))
@@ -57,7 +60,7 @@ def _prf(scores, labels, threshold: float) -> dict:
     return {"precision": precision, "recall": recall, "f1": f1, "positives": tp + fn}
 
 
-def macro_f1(scores, labels, threshold: float = 0.5) -> float:
+def macro_f1(scores, labels) -> float:
     """Unweighted mean of per-class binary F1 over the label columns."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
@@ -65,7 +68,7 @@ def macro_f1(scores, labels, threshold: float = 0.5) -> float:
         raise ValueError(f"macro F1 needs [n x L>=2] scores, got shape {s.shape}")
     if s.shape != y.shape:
         raise ValueError(f"scores and labels disagree in shape: {s.shape} vs {y.shape}")
-    return float(np.mean([f1_binary(s[:, c], y[:, c], threshold) for c in range(s.shape[1])]))
+    return float(np.mean([f1_binary(s[:, c], y[:, c]) for c in range(s.shape[1])]))
 
 
 def auroc(scores, labels) -> float:
@@ -124,7 +127,7 @@ class EvalReport:
     per_class: list[dict] | None = None
 
 
-def evaluate_scores(scores, labels, task: str, threshold: float = 0.5) -> EvalReport:
+def evaluate_scores(scores, labels, task: str) -> EvalReport:
     """Score matrix [n x L] + labels -> report. Binary tasks use column 0;
     multi-label tasks macro-average, skipping undefined classes."""
     s = np.asarray(scores, dtype=np.float64)
@@ -139,15 +142,15 @@ def evaluate_scores(scores, labels, task: str, threshold: float = 0.5) -> EvalRe
         raise ValueError("cannot evaluate zero examples")
     if task == "binary":
         return EvalReport(
-            f1=f1_binary(s[:, 0], y[:, 0], threshold),
+            f1=f1_binary(s[:, 0], y[:, 0]),
             aupr=aupr(s[:, 0], y[:, 0]),
             auroc=auroc(s[:, 0], y[:, 0]),
-            threshold=threshold,
+            threshold=THRESHOLD,
             n_examples=s.shape[0],
         )
     if task != "multilabel":
         raise ValueError(f"unknown task {task!r}")
-    per_class = [_prf(s[:, c], y[:, c], threshold) for c in range(s.shape[1])]
+    per_class = [_prf(s[:, c], y[:, c]) for c in range(s.shape[1])]
     auroc_vals = []
     aupr_vals = []
     for c in range(s.shape[1]):
@@ -162,14 +165,14 @@ def evaluate_scores(scores, labels, task: str, threshold: float = 0.5) -> EvalRe
     if not auroc_vals or not aupr_vals:
         raise UndefinedMetricError("no class had both labels present")
     # micro F1 over all (example, class) decisions
-    micro = f1_binary(s.reshape(-1), y.reshape(-1), threshold)
+    micro = f1_binary(s.reshape(-1), y.reshape(-1))
     return EvalReport(
         f1=micro,
         aupr=float(np.mean(aupr_vals)),
         auroc=float(np.mean(auroc_vals)),
-        threshold=threshold,
+        threshold=THRESHOLD,
         n_examples=s.shape[0],
-        macro_f1=macro_f1(s, y, threshold),
+        macro_f1=macro_f1(s, y),
         per_class=per_class,
     )
 

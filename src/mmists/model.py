@@ -9,6 +9,8 @@ either runs mTAND, and its modality's backbone and head; other fields are None.
 Each component's parameters are initialized from a generator seeded by
 (run seed, component id), so components shared between model variants start
 bit-identical regardless of which other components a variant instantiates.
+Every parameter tensor is a view of one flat buffer, ``ModelParams.buffer``,
+in ``flat()`` order; gradients, Adam, snapshots and checkpoints use it whole.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .mtand import (
     pad_series,
     time2vec_heads,
 )
-from .tensor import Tensor, concat, layer_norm, linear, reshape
+from .tensor import Tensor, buffer_views, concat, layer_norm, linear, reshape
 
 __all__ = [
     "ConfigError",
@@ -195,6 +197,15 @@ class ModelParams:
     txt_stack: list[SingleLayerParams] | None = None
     txt_ln: LayerNormParams | None = None
     txt_head: ClassifierParams | None = None
+    buffer: np.ndarray | None = None  # every value above, flat, in flat() order
+
+    def adopt(self, buffer: np.ndarray) -> None:
+        """Make ``buffer`` (1-d float64, covered whole) this model's values:
+        each tensor's ``data`` becomes the next view of it, in flat() order."""
+        tensors = list(self.flat().values())
+        for t, view in zip(tensors, buffer_views(buffer, [t.shape for t in tensors])):
+            t.data = view
+        self.buffer = buffer
 
     def flat(self) -> dict[str, Tensor]:
         """Stable name -> Tensor map of the built tensors; shared tensors
@@ -241,7 +252,9 @@ def _component_rng(seed: int, component: str) -> np.random.Generator:
 
 
 def init_model(config: RunConfig) -> ModelParams:
-    return _build_model(config.validate(), lambda component: _component_rng(config.seed, component))
+    params = _build_model(config.validate(), lambda component: _component_rng(config.seed, component))
+    params.adopt(np.concatenate([t.data.reshape(-1) for t in params.flat().values()]))
+    return params
 
 
 class _NoDraws:
@@ -256,7 +269,7 @@ class _NoDraws:
 
 def model_skeleton(config: RunConfig) -> ModelParams:
     """The parameter structure of ``init_model(config)`` with placeholder
-    values, for callers that fill in every value themselves."""
+    values and no buffer, for callers that ``adopt`` one themselves."""
     return _build_model(config.validate(), lambda _component: _NoDraws())
 
 

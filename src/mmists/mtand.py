@@ -33,7 +33,6 @@ from .tensor import (
     matmul,
     reshape,
     segment_time_attention,
-    swapaxes,
     time_embedding,
     transpose,
 )
@@ -161,7 +160,7 @@ def _interpolate(
     if grid_embedding is None:
         grid_embedding = time2vec_heads(grid.points, params.bank)
     q = matmul(grid_embedding, params.w_query)  # [V x alpha x d_v]
-    qk = matmul(q, swapaxes(params.w_key, 1, 2)) * (d_v**-0.5)
+    qk = matmul(q, transpose(params.w_key, (0, 2, 1))) * (d_v**-0.5)
     series = np.nonzero(key_mask.reshape(n_series, -1))[0]  # each valid key's series, nondecreasing
     return segment_time_attention(
         qk, key_times[key_mask], params.bank.omega, params.bank.phi, series, n_series, values[key_mask]

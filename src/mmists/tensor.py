@@ -10,17 +10,9 @@ tapes. A tape keeps its leaves (the Tensors it reads but did not compute, such
 as parameters) in its own table and never writes to them, so one parameter can
 be read by several threads' tapes at once.
 
-Time2Vec (``time_embedding`` and the key embedding in
-``segment_time_attention``) shares one helper. It takes sin from the tangent
-of the half angle, which numpy runs as a SIMD loop where its float64
-``sin``/``cos`` run scalar libm. While a tape records, it also keeps the
-slope of each column (1, or cos by the same tangent), so the backward is one
-product with the kept slope and computes no transcendental; forward-only
-calls keep nothing extra. The generic ``sin`` op stays on ``np.sin``.
-
-``pack`` moves tensors' values into one flat buffer, each tensor's ``data`` a
-view of its slice, and ``adopt`` hands tensors an existing one. Adam packs its
-parameters and sweeps them, their gradient and moments in cache-sized chunks.
+``buffer_views`` cuts one flat buffer into consecutive shaped views. Adam
+sweeps the model's flat parameter buffer, its gradient and moments in
+cache-sized chunks.
 """
 
 from __future__ import annotations
@@ -37,8 +29,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "AdamState",
-    "pack",
-    "adopt",
     "buffer_views",
     "adam_init",
     "adam_step",
@@ -51,21 +41,16 @@ __all__ = [
     "sub",
     "mul",
     "neg",
-    "sin",
     "sigmoid",
     "relu",
-    "reduce_sum",
     "reduce_mean",
     "concat",
     "reshape",
-    "swapaxes",
     "transpose",
     "gather_rows",
     "layer_norm",
     "causal_conv1d",
     "bce_with_logits",
-    "finite_difference_gradients",
-    "relative_error",
 ]
 
 
@@ -346,11 +331,6 @@ def neg(x: Tensor) -> Tensor:
     return _unary(x, -x.data, lambda g: (-g,), "neg")
 
 
-def sin(x: Tensor) -> Tensor:
-    xd = x.data
-    return _unary(x, np.sin(xd), lambda g: (g * np.cos(xd),), "sin")
-
-
 def _time2vec_rows(times) -> np.ndarray:
     """The rows (t, 1) of n times, [n x 2]."""
     t = np.asarray(times, dtype=np.float64).reshape(-1)
@@ -570,18 +550,6 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    xshape = x.shape
-
-    def backward(g: np.ndarray):
-        if axis is None:
-            return (np.broadcast_to(g, xshape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, xshape).copy(),)
-
-    return _unary(x, np.sum(x.data, axis=axis, keepdims=keepdims), backward, "sum")
-
-
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     xshape = x.shape
     if axis is None:
@@ -624,15 +592,6 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     xshape = x.shape
     return _unary(x, x.data.reshape(shape).copy(), lambda g: (g.reshape(xshape),), "reshape")
-
-
-def swapaxes(x: Tensor, ax1: int, ax2: int) -> Tensor:
-    return _unary(
-        x,
-        np.ascontiguousarray(np.swapaxes(x.data, ax1, ax2)),
-        lambda g: (np.swapaxes(g, ax1, ax2),),
-        "swapaxes",
-    )
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -843,21 +802,6 @@ def buffer_views(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[
     return [buffer[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
 
-def adopt(tensors: Sequence[Tensor], buffer: np.ndarray) -> None:
-    """Make each tensor's ``data`` the next consecutive view of ``buffer``
-    (1-d float64, covered whole), so the tensors take the buffer's values."""
-    for t, view in zip(tensors, buffer_views(buffer, [t.shape for t in tensors])):
-        t.data = view
-
-
-def pack(tensors: Sequence[Tensor]) -> np.ndarray:
-    """Copy the tensors' values, in order, into one new contiguous float64
-    buffer and make each tensor's ``data`` a view of its slice."""
-    buffer = np.concatenate([t.data.reshape(-1) for t in tensors]) if tensors else np.zeros(0)
-    adopt(tensors, buffer)
-    return buffer
-
-
 # Adam's moment decay rates and denominator floor
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -871,7 +815,6 @@ class AdamState:
 
     param_buffer: np.ndarray
     grad_buffer: np.ndarray
-    grads: dict[str, np.ndarray]  # parameter name -> view of its slice of grad_buffer
     lr: float = 4e-4
     step_count: int = 0
     # allocated, zero, at the first step: a state that never steps holds none
@@ -879,13 +822,10 @@ class AdamState:
     second_moment: np.ndarray | None = None
 
 
-def adam_init(params: dict[str, Tensor], lr: float = 4e-4) -> AdamState:
-    """Fresh optimizer state. The parameters are ``pack``ed into one flat
-    buffer, which the state keeps with a zero gradient buffer of its layout."""
-    flat = pack(list(params.values()))
-    grad = np.zeros(flat.size)
-    grads = dict(zip(params, buffer_views(grad, [t.shape for t in params.values()])))
-    return AdamState(flat, grad, grads, lr)
+def adam_init(param_buffer: np.ndarray, lr: float = 4e-4) -> AdamState:
+    """Fresh optimizer state over the flat ``param_buffer``, kept as it is and
+    updated in place, with a zero gradient buffer of its size."""
+    return AdamState(param_buffer, np.zeros(param_buffer.size), lr)
 
 
 # Elements per Adam pass: the chunk's parameter, gradient, moments and two
@@ -896,9 +836,9 @@ _ADAM_CHUNK = 1 << 15
 def adam_step(params: dict[str, Tensor], state: AdamState) -> tuple[dict[str, Tensor], AdamState]:
     """One bias-corrected Adam update, in place, from ``state.grad_buffer``.
 
-    ``params`` is the mapping ``adam_init`` packed; the caller writes the
-    gradients into ``state.grads`` (zero for a parameter without one). The
-    update sweeps the flat parameter, gradient and moment buffers in chunks of
+    ``params`` maps names to the tensors that view ``state.param_buffer``;
+    the caller writes their gradients into ``state.grad_buffer`` in the same
+    layout (zero for a parameter without one). The update sweeps the flat parameter, gradient and moment buffers in chunks of
     ``_ADAM_CHUNK`` elements. Every parameter has zero moments before its
     first gradient, so until then its update is exactly zero.
 
@@ -931,38 +871,3 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> tuple[dict[str, Te
         step /= denom
         state.param_buffer[a:b] -= step
     return params, state
-
-
-def finite_difference_gradients(
-    f: Callable[[], float],
-    params: dict[str, Tensor],
-    step: float = 1e-5,
-) -> dict[str, np.ndarray]:
-    """Central-difference gradients of a re-runnable scalar function.
-
-    ``f`` must recompute the loss from the current contents of ``params``;
-    entries are perturbed in place and restored.
-    """
-    out: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = f()
-            flat[i] = orig - step
-            lo = f()
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2.0 * step)
-        out[name] = g
-    return out
-
-
-def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
-    """Worst-case elementwise |a-b| / max(|a|, |b|, floor)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0

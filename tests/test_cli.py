@@ -1,6 +1,7 @@
 """Command-line behavior: config handling, subcommands, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -326,6 +327,42 @@ def test_corrupt_checkpoint_exits_3(tmp_path, dataset):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"garbage")
     assert main(["eval", "--checkpoint", str(bad), "--data", str(test_path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "stats, message",
+    [
+        ({"min": [0.0] * 3}, "vectors of one non-zero length"),
+        ({"min": [0.0] * 3, "max": [1.0] * 3, "global_mean": [0.5] * 3}, "stats cover 3 features, the config has 4"),
+        ({"max": [math.inf] * 4}, "feature 0 has max - min inf"),
+        ({"alpha_hours": -1.0}, "alpha_hours -1.0 is not finite and positive"),
+        ({"global_mean": [math.nan] * 4}, "a global mean lies outside"),
+    ],
+    ids=["short-min", "too-few-features", "infinite-max", "negative-alpha-hours", "nan-global-mean"],
+)
+def test_checkpoint_with_bad_stats_exits_3(tmp_path, dataset, trained_checkpoint, capsys, stats, message):
+    _, _, test_path = dataset
+    meta, newline, buffer = trained_checkpoint.read_bytes().partition(b"\n")
+    record = json.loads(meta)
+    record["stats"].update(stats)
+    bad = tmp_path / "bad-stats.ckpt"
+    bad.write_bytes(json.dumps(record).encode("utf-8") + newline + buffer)
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(test_path)]) == 3
+    assert message in one_error_line(capsys, "data error: unreadable checkpoint")
+
+
+def test_training_range_that_overflows_float64_exits_3(tmp_path, dataset, capsys):
+    train_path, val_path, _ = dataset
+    lines = train_path.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    first["ts"] += [{"f": 0, "t": 1.0, "v": 1.7e308}, {"f": 0, "t": 2.0, "v": -1.7e308}]
+    extreme = tmp_path / "extreme.jsonl"
+    extreme.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
+    rc = main(["train", "--config", str(write_config(tmp_path)), "--seed", "0",
+               "--train-path", str(extreme), "--val-path", str(val_path),
+               "--checkpoint-path", str(tmp_path / "x.ckpt")])
+    assert rc == 3
+    assert "feature 0 has max - min inf" in one_error_line(capsys, "data error: normalization stats")
 
 
 def test_numerical_failure_exits_4(tmp_path, dataset):

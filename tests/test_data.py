@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mmists.data import (
@@ -179,6 +181,16 @@ def episode_with(values_by_feature: dict, alpha_hours: float = 10.0, label=(0,))
     return Episode("e", obs, (NoteEvent(1.0, text="n"),), np.asarray(label))
 
 
+def loaded_episodes():
+    """Episodes as the loader accepts them: finite values, times >= 0, at least one note."""
+    times = st.floats(min_value=0.0, allow_infinity=False)
+    obs = st.builds(TsObservation, st.integers(0, 1), times, st.floats(allow_nan=False, allow_infinity=False))
+    notes = st.lists(times.map(lambda t: NoteEvent(t, text="n")), min_size=1, max_size=3)
+    return st.builds(
+        lambda o, n: Episode("e", tuple(o), tuple(n), np.array([0])), st.lists(obs, max_size=8), notes
+    )
+
+
 class TestNormalize:
     def test_midrange_value_maps_to_half(self):
         ep = episode_with({0: [(1.0, 0.0), (2.0, 10.0), (3.0, 5.0)]})
@@ -210,6 +222,34 @@ class TestNormalize:
         ntrain, stats = normalize(train, alpha_hours=24.0)
         nrest, _ = normalize(rest, stats=stats)
         for ep in ntrain + nrest:
+            for o in ep.observations:
+                assert 0.0 <= o.value <= 1.0
+                assert 0.0 <= o.time < 1.0
+            for n in ep.notes:
+                assert 0.0 <= n.time <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        train=st.lists(loaded_episodes(), min_size=1, max_size=4),
+        other=st.lists(loaded_episodes(), max_size=4),
+        alpha_hours=st.floats(1e-3, 1e3),
+    )
+    @example(  # a value far below a training range near the float64 limit
+        train=[episode_with({0: [(1.0, 1e308), (2.0, 1.5e308)]})],
+        other=[episode_with({0: [(1.0, -1.7e308)]})],
+        alpha_hours=10.0,
+    )
+    def test_any_loadable_episodes_normalize_inside_the_unit_box(self, train, other, alpha_hours):
+        """Fresh stats and stats from another split both keep every value in
+        [0, 1], every observation time in [0, 1) and every note time in
+        [0, 1], or the training range overflows float64 and is a DataError."""
+        try:
+            ntrain, stats = normalize(train, alpha_hours=alpha_hours, n_features=2)
+        except DataError as e:
+            assert "max - min inf" in str(e)
+            return
+        nother, _ = normalize(other, stats=stats)
+        for ep in ntrain + nother:
             for o in ep.observations:
                 assert 0.0 <= o.value <= 1.0
                 assert 0.0 <= o.time < 1.0

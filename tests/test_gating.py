@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mmists.gating import GateParams, compute_gate, init_gate_params, utde_embed
-from mmists.tensor import Tape, Tensor, reduce_sum
+from mmists.tensor import Tape, Tensor
+
+from gradcheck import reduce_sum
 
 ALPHA, D_H = 6, 4
 

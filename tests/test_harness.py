@@ -22,7 +22,7 @@ from mmists.harness import (
 )
 from mmists.metrics import EvalReport, evaluate_scores
 from mmists.model import RunConfig, forward, init_model, prepare_episode
-from mmists.tensor import Tape, bce_with_logits
+from mmists.tensor import Tape, bce_with_logits, buffer_views
 
 from conftest import checkpoint_arrays
 
@@ -134,7 +134,8 @@ def test_batch_gradient_is_mean_of_episode_gradients(splits, monkeypatch):
     stepped = []
 
     def recording_step(params, state, *args, **kwargs):
-        stepped.append({name: g.copy() for name, g in state.grads.items()})
+        views = buffer_views(state.grad_buffer, [t.shape for t in params.values()])
+        stepped.append({name: g.copy() for name, g in zip(params, views)})
         return adam_step(params, state, *args, **kwargs)
 
     adam_step = harness.adam_step
@@ -246,7 +247,34 @@ def test_build_params_fills_the_checkpoint_without_a_random_init(splits, monkeyp
     assert flat.keys() == arrays.keys()
     for name, t in flat.items():
         np.testing.assert_array_equal(t.data, arrays[name])
+        assert t.data.base is ckpt.buffer  # a view of the checkpoint's buffer, not a copy
+    assert params.buffer is ckpt.buffer
     assert params.ts_interp.bank is params.txt_interp.bank
+
+
+def test_train_steps_the_model_buffer_in_place(splits, monkeypatch):
+    tr, va, _ = splits
+    built, states = [], []
+
+    def recording_init(config):
+        built.append(init_model(config))
+        return built[-1]
+
+    def recording_step(params, state):
+        states.append(state)
+        return adam_step(params, state)
+
+    adam_step = harness.adam_step
+    monkeypatch.setattr(harness, "init_model", recording_init)
+    monkeypatch.setattr(harness, "adam_step", recording_step)
+    config = small_config(epochs=2)
+    ckpt = train(config, tr, va)
+    params = built[0]
+    assert states and all(state.param_buffer is params.buffer for state in states)
+    assert all(t.data.base is params.buffer for t in params.flat().values())
+    assert not np.array_equal(params.buffer, init_model(config).buffer)  # the steps moved it
+    # the last epoch scores best here, so the checkpoint takes the buffer uncopied
+    assert ckpt.epoch == 2 and ckpt.buffer is params.buffer
 
 
 def read_checkpoint_file(path) -> tuple[dict, np.ndarray]:

@@ -106,13 +106,13 @@ class TestDiscretize:
 
 class TestImpute:
     def test_worked_example_forward_fills_from_global_mean(self):
-        # discretized [miss, 8, miss, 12] with global mean 7 -> [7, 8, 8, 12]
+        # discretized [miss, 0.8, miss, 0.9] with global mean 0.7 -> [0.7, 0.8, 0.8, 0.9]
         series = DiscretizedSeries(
-            values=np.array([[0.0], [8.0], [0.0], [12.0]]),
+            values=np.array([[0.0], [0.8], [0.0], [0.9]]),
             observed_mask=np.array([[False], [True], [False], [True]]),
         )
-        out = impute(series, stats_with_means([7.0]))
-        assert_allclose(out.data[:, 0], [7.0, 8.0, 8.0, 12.0])
+        out = impute(series, stats_with_means([0.7]))
+        assert_allclose(out.data[:, 0], [0.7, 0.8, 0.8, 0.9])
 
     def test_fully_observed_unchanged(self):
         values = np.arange(8.0).reshape(4, 2)

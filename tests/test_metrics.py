@@ -38,14 +38,6 @@ def test_f1_threshold_is_inclusive():
     assert f1_binary([0.4999999], [1]) == 0.0
 
 
-def test_f1_custom_threshold():
-    scores = [0.3, 0.2, 0.1]
-    labels = [1, 1, 0]
-    assert f1_binary(scores, labels, threshold=0.15) == pytest.approx(
-        f1_by_hand(scores, labels, threshold=0.15)
-    )
-
-
 def test_f1_length_mismatch_raises():
     with pytest.raises(ValueError, match="length"):
         f1_binary([0.1, 0.2], [1])
@@ -187,7 +179,7 @@ def test_metrics_stay_in_unit_interval():
         labels = rng.integers(0, 2, size=n)
         labels[0], labels[1] = 0, 1
         scores = rng.normal(size=n)  # scores need not be probabilities
-        for value in (auroc(scores, labels), aupr(scores, labels), f1_binary(scores, labels, 0.0)):
+        for value in (auroc(scores, labels), aupr(scores, labels), f1_binary(scores, labels)):
             assert 0.0 <= value <= 1.0
 
 

@@ -204,7 +204,10 @@ class TestScopedBuild:
             gate_level=gate_level,
         )
         params = init_model(cfg)
-        built = {f.name for f in dataclasses.fields(params) if getattr(params, f.name) is not None}
+        built = {
+            f.name for f in dataclasses.fields(params)
+            if f.name != "buffer" and getattr(params, f.name) is not None
+        }
         assert built == expected_components(modality, ts_embed, text_irregularity)
         flat = params.flat()
         assert {name.split(".")[0] for name in flat} == built
@@ -219,6 +222,16 @@ class TestScopedBuild:
     def test_default_fused_utde_size(self):
         flat = init_model(RunConfig(seed=0)).flat()
         assert (len(flat), sum(t.size for t in flat.values())) == (180, 552_066)
+
+    def test_every_tensor_views_the_model_buffer_in_flat_order(self):
+        params = init_model(RunConfig(seed=0))
+        assert params.buffer.shape == (552_066,)
+        offset = 0
+        for t in params.flat().values():
+            assert t.data.base is params.buffer
+            assert t.data.ctypes.data == params.buffer.ctypes.data + 8 * offset
+            offset += t.size
+        assert offset == params.buffer.size
 
     def test_shared_components_are_bit_identical_across_variants(self):
         fused = init_model(small_config()).flat()
@@ -260,7 +273,12 @@ class TestPrepare:
         preps, cfg, stats = prepared
         eps = generate_synthetic(GenConfig(n_episodes=1, n_features=3, text_dim=8, seed=18))
         neps, _ = normalize(eps, stats=stats)
-        wrong = dataclasses.replace(stats, global_mean=np.array([0.5]))
+        with pytest.raises(DataError, match="one non-zero length"):  # vectors of unequal width
+            dataclasses.replace(stats, global_mean=np.array([0.5]))
+        wrong = dataclasses.replace(
+            stats, feature_min=stats.feature_min[:1], feature_max=stats.feature_max[:1],
+            global_mean=stats.global_mean[:1],
+        )
         with pytest.raises(DataError):
             prepare_episode(neps[0], cfg, wrong)
 

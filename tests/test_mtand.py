@@ -19,10 +19,10 @@ from mmists.tensor import (
     Tape,
     Tensor,
     matmul,
-    reduce_sum,
     reshape,
-    swapaxes,
+    transpose,
 )
+from gradcheck import reduce_sum
 from oracles import softmax_rows, time_attention_oracle
 
 
@@ -329,7 +329,7 @@ class TestPhaseShiftScoreIdentity:
         bank = one_head(bank_omega, bank_phi)
         q = matmul(reshape(time2vec_heads(q_times, bank), (len(q_times), len(bank_omega))), Tensor(w_q))
         k = matmul(reshape(time2vec_heads(k_times, bank), (len(k_times), len(bank_omega))), Tensor(w_k))
-        scores = matmul(q, swapaxes(k, 0, 1)) * (len(bank_omega) ** -0.5)
+        scores = matmul(q, transpose(k, (1, 0))) * (len(bank_omega) ** -0.5)
         return softmax_rows(scores.data)
 
     def test_shift_invariance_requires_zero_linear_key_weight(self):

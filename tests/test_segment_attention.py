@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 
 from mmists.imputation import ReferenceGrid
 from mmists.mtand import PaddedSeries, init_mtand_params, init_time2vec_bank, mtand_ts, mtand_txt
-from mmists.tensor import ShapeError, Tensor, reduce_sum, segment_time_attention, sin
+from mmists.tensor import ShapeError, Tensor, segment_time_attention
+
+from gradcheck import reduce_sum, sin
 from oracles import time_attention_oracle
 from test_mtand import head_vectors
 from test_tensor import check_grads

@@ -16,27 +16,22 @@ from mmists.tensor import (
     adam_init,
     adam_step,
     buffer_views,
-    pack,
     attention,
     bce_with_logits,
     causal_conv1d,
     concat,
-    finite_difference_gradients,
     gather_rows,
     layer_norm,
     linear,
     matmul,
     reduce_mean,
-    reduce_sum,
-    relative_error,
     relu,
     reshape,
     sigmoid,
-    sin,
-    swapaxes,
     time_embedding,
     transpose,
 )
+from gradcheck import finite_difference_gradients, reduce_sum, relative_error, sin
 from oracles import layer_norm_oracle
 
 
@@ -100,7 +95,7 @@ class TestForward:
         x = rng.normal(size=(4, 6))
         tx = Tensor(x)
         assert_allclose(reshape(tx, (2, 2, 6)).data, x.reshape(2, 2, 6))
-        assert_allclose(swapaxes(reshape(tx, (2, 2, 6)), 0, 1).data, x.reshape(2, 2, 6).swapaxes(0, 1))
+        assert_allclose(transpose(reshape(tx, (2, 2, 6)), (1, 0, 2)).data, x.reshape(2, 2, 6).swapaxes(0, 1))
         assert_allclose(concat([tx, tx * 2.0], axis=-1).data, np.concatenate([x, 2 * x], axis=-1))
 
     def test_zero_size_dimension_rejected(self):
@@ -292,7 +287,7 @@ class TestBackward:
         rng = np.random.default_rng(14)
         x = Tensor(rng.normal(size=(3, 4, 2)))
         check_grads(
-            lambda: reduce_sum(swapaxes(reshape(reduce_mean(x, axis=1), (3, 2)), 0, 1) * 1.7),
+            lambda: reduce_sum(transpose(reshape(reduce_mean(x, axis=1), (3, 2)), (1, 0)) * 1.7),
             {"x": x},
         )
 
@@ -561,51 +556,55 @@ def mul_chain(a, b, c):
 
 
 class TestFlatBuffer:
-    def test_pack_makes_consecutive_views_and_keeps_values(self):
-        rng = np.random.default_rng(29)
-        values = [rng.normal(size=(2, 3)), rng.normal(size=4), np.array([7.0])]
-        ts = [Tensor(v.copy()) for v in values]
-        buffer = pack(ts)
-        assert buffer.shape == (11,)
-        for t, v in zip(ts, values):
-            assert t.data.base is buffer and t.shape == v.shape
-            np.testing.assert_array_equal(t.data, v)
+    def test_buffer_views_are_consecutive_views_covering_the_buffer(self):
+        buffer = np.arange(11.0)
+        views = buffer_views(buffer, [(2, 3), (4,), (1,)])
+        assert [v.shape for v in views] == [(2, 3), (4,), (1,)]
+        assert all(v.base is buffer for v in views)
+        np.testing.assert_array_equal(views[1], [6.0, 7.0, 8.0, 9.0])
+        np.testing.assert_array_equal(np.concatenate([v.reshape(-1) for v in views]), np.arange(11.0))
         buffer[:] = 0.0
-        assert not any(t.data.any() for t in ts)  # views, not copies
-
-    def test_adopt_hands_over_a_buffer(self):
-        ts = [Tensor(np.zeros(2)), Tensor(np.zeros((1, 3)))]
-        buffer = np.arange(5.0)
-        T.adopt(ts, buffer)
-        np.testing.assert_array_equal(ts[1].data, [[2.0, 3.0, 4.0]])
-        assert all(t.data.base is buffer for t in ts)
+        assert not any(v.any() for v in views)  # views, not copies
         with pytest.raises(ShapeError, match="cover 5 values"):
-            T.adopt(ts, np.zeros(6))
+            buffer_views(np.zeros(6), [(2,), (1, 3)])
         with pytest.raises(ShapeError):
             buffer_views(np.zeros(4), [(2,), (3,)])
 
 
+def flat_params(values: dict) -> tuple[dict[str, Tensor], np.ndarray]:
+    """Tensors holding ``values``, each a view of one new flat buffer, and that buffer."""
+    buffer = np.concatenate([np.ravel(v) for v in values.values()])
+    views = buffer_views(buffer, [np.shape(v) for v in values.values()])
+    return {k: Tensor(v) for k, v in zip(values, views)}, buffer
+
+
+def grad_views(params: dict[str, Tensor], state: AdamState) -> dict[str, np.ndarray]:
+    """Name -> view of the parameter's slice of ``state.grad_buffer``."""
+    return dict(zip(params, buffer_views(state.grad_buffer, [t.shape for t in params.values()])))
+
+
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
-        p = {"w": Tensor(np.zeros(3))}
-        state = adam_init(p, lr=0.01)
-        state.grads["w"][...] = [1.0, -2.0, 0.5]
+        p, buffer = flat_params({"w": np.zeros(3)})
+        state = adam_init(buffer, lr=0.01)
+        grad_views(p, state)["w"][...] = [1.0, -2.0, 0.5]
         adam_step(p, state)
         # bias correction makes the very first update +-lr per element
         assert_allclose(np.abs(p["w"].data), 0.01, rtol=1e-6)
 
     def test_converges_on_quadratic(self):
-        p = {"w": Tensor(np.array([5.0, -3.0]))}
-        state = adam_init(p, lr=0.1)
+        p, buffer = flat_params({"w": np.array([5.0, -3.0])})
+        state = adam_init(buffer, lr=0.1)
+        grads = grad_views(p, state)
         for _ in range(500):
-            state.grads["w"][...] = 2.0 * p["w"].data
+            grads["w"][...] = 2.0 * p["w"].data
             adam_step(p, state)
         assert_allclose(p["w"].data, 0.0, atol=1e-3)
 
     def test_missing_gradient_treated_as_zero(self):
-        p = {"w": Tensor(np.array([1.0])), "u": Tensor(np.array([1.0]))}
-        state = adam_init(p)
-        state.grads["w"][...] = 1.0
+        p, buffer = flat_params({"w": np.array([1.0]), "u": np.array([1.0])})
+        state = adam_init(buffer)
+        grad_views(p, state)["w"][...] = 1.0
         adam_step(p, state)
         assert_allclose(p["u"].data, 1.0)
 
@@ -642,13 +641,15 @@ class TestAdam:
                 ref[k] = ref[k] - lr * (m[k] / (1.0 - b1**t)) / (np.sqrt(v2[k] / (1.0 - b2**t)) + eps)
 
         size = sum(v.size for v in init.values())
-        params = {k: Tensor(v.copy()) for k, v in init.items()}
-        state = adam_init(params, lr=lr)
+        params, buffer = flat_params(init)
+        state = adam_init(buffer, lr=lr)
+        assert state.param_buffer is buffer  # used as it is, not copied
         assert state.first_moment is None and state.second_moment is None  # no step yet
+        views = grad_views(params, state)
         for grads in steps:
             state.grad_buffer.fill(0.0)
             for k, g in grads.items():
-                state.grads[k][...] = g
+                views[k][...] = g
             adam_step(params, state)
         for k in init:
             np.testing.assert_array_equal(params[k].data, ref[k])
@@ -658,6 +659,6 @@ class TestAdam:
         assert all(p.data.base is state.param_buffer for p in params.values())
 
     def test_state_defaults(self):
-        state = adam_init({})
+        state = adam_init(np.zeros(0))
         assert state.lr == 4e-4
         assert (T.ADAM_BETA1, T.ADAM_BETA2, T.ADAM_EPS) == (0.9, 0.999, 1e-8)
