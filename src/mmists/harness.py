@@ -8,9 +8,11 @@ summed gradients are the batch mean; scoring runs in the same groups. The
 best validation snapshot is kept with earliest-epoch tie-breaking.
 
 Adam updates the model's flat parameter buffer in place; each group's
-backward adds into views of the optimizer's gradient buffer, and the best
-snapshot is one copy of the parameter buffer, made only before a step would
-change it.
+backward adds into views of the optimizer's gradient buffer. The best
+snapshot is taken only before a step would change it: one copy of the
+parameter buffer when an epoch >= 1 leads, and none while the initialization
+(epoch 0) leads, since ``init_model(config)`` redraws it bit for bit from the
+seed once training ends.
 """
 
 from __future__ import annotations
@@ -216,8 +218,10 @@ def train(
     with the best validation F1 (binary) or macro-F1 (multi-label).
 
     Epoch 0 is the initialization itself, so epochs=0 returns the scored
-    initial parameters. Optional trace lists collect per-batch mean losses
-    and the per-epoch validation metric for inspection.
+    initial parameters. While it is the best epoch, training keeps no copy of
+    it; if it is still best after a step, its buffer is redrawn once from the
+    seed at the end. Optional trace lists collect per-batch mean losses and
+    the per-epoch validation metric for inspection.
     """
     config.validate()
     if not train_episodes or not val_episodes:
@@ -240,7 +244,9 @@ def train(
         return _selection_metric(scores, labels, config.task)
 
     best_value = val_metric()
-    best_buffer = None  # the best parameters are the current ones, copied only before they change
+    # the live buffer while the current parameters are the best; None once a
+    # step has moved past the initialization while it still leads
+    best_buffer = params.buffer
     best_epoch = 0
     if val_trace is not None:
         val_trace.append(best_value)
@@ -272,8 +278,8 @@ def train(
                 total = math.sqrt(float(np.dot(opt.grad_buffer, opt.grad_buffer)))
                 if total > config.grad_clip:
                     opt.grad_buffer *= config.grad_clip / total
-            if best_buffer is None:
-                best_buffer = params.buffer.copy()
+            if best_buffer is params.buffer:
+                best_buffer = params.buffer.copy() if best_epoch else None
             adam_step(flat, opt)
             epoch_losses.append(batch_loss)
             if loss_trace is not None:
@@ -286,11 +292,11 @@ def train(
         )
         if value > best_value:
             best_value = value
-            best_buffer = None
+            best_buffer = params.buffer
             best_epoch = epoch
 
     return Checkpoint(
-        buffer=params.buffer if best_buffer is None else best_buffer,
+        buffer=init_model(config).buffer if best_buffer is None else best_buffer,
         index=[(name, t.shape) for name, t in flat.items()],
         config=config,
         stats=stats,

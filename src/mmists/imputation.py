@@ -10,7 +10,7 @@ import numpy as np
 from .data import DataError, Episode, NormalizationStats, group_by_feature
 from .tensor import Tensor, causal_conv1d
 
-__all__ = ["ReferenceGrid", "DiscretizedSeries", "discretize", "impute", "conv_embed"]
+__all__ = ["ReferenceGrid", "DiscretizedSeries", "discretize", "bin_series", "impute", "conv_embed"]
 
 
 @dataclass(frozen=True)
@@ -42,16 +42,22 @@ def discretize(ep: Episode, grid: ReferenceGrid, n_features: int) -> Discretized
     Each (feature, bin) keeps its latest observation; identical timestamps
     resolve to the later input-list entry. Empty bins are flagged missing.
     """
+    return bin_series(group_by_feature(ep, n_features), grid, ep.episode_id)
+
+
+def bin_series(
+    series: list[tuple[np.ndarray, np.ndarray]], grid: ReferenceGrid, episode_id: str
+) -> DiscretizedSeries:
+    """``discretize`` of the per-feature (times, values) series that
+    ``group_by_feature`` gives, for a caller that has them already."""
     alpha = grid.n_points
-    values = np.zeros((alpha, n_features))
-    mask = np.zeros((alpha, n_features), dtype=bool)
-    for f, (times, vals) in enumerate(group_by_feature(ep, n_features)):
-        if times.size and times.max() >= 1.0:
-            raise DataError(
-                f"episode {ep.episode_id}: observation time {times.max()} outside the window"
-            )
+    values = np.zeros((alpha, len(series)))
+    mask = np.zeros((alpha, len(series)), dtype=bool)
+    for f, (times, vals) in enumerate(series):
         # times are sorted with input order breaking ties, so the last write wins
-        for t, v in zip(times, vals):
+        for t, v in zip(times.tolist(), vals.tolist()):
+            if not 0.0 <= t < 1.0:
+                raise DataError(f"episode {episode_id}: observation time {t} outside the window")
             b = int(t * alpha)
             values[b, f] = v
             mask[b, f] = True
@@ -60,19 +66,16 @@ def discretize(ep: Episode, grid: ReferenceGrid, n_features: int) -> Discretized
 
 def impute(series: DiscretizedSeries, stats: NormalizationStats) -> Tensor:
     """Forward-fill each feature; leading gaps take the feature's global mean."""
-    values = series.values.copy()
-    mask = series.observed_mask
+    values, mask = series.values, series.observed_mask
     alpha, d_m = values.shape
     if stats.global_mean.shape[0] != d_m:
         raise DataError(
             f"stats cover {stats.global_mean.shape[0]} features, series has {d_m}"
         )
-    filled = np.where(mask[0], values[0], stats.global_mean)
-    values[0] = filled
-    for b in range(1, alpha):
-        filled = np.where(mask[b], values[b], filled)
-        values[b] = filled
-    return Tensor(values)
+    # each bin's source row: 1 + its latest observed bin, or row 0, the global mean
+    source = np.where(mask, np.arange(1, alpha + 1)[:, None], 0)
+    np.maximum.accumulate(source, axis=0, out=source)
+    return Tensor(np.vstack((stats.global_mean, values))[source, np.arange(d_m)])
 
 
 def conv_embed(values: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:

@@ -37,7 +37,7 @@ from .fusion import (
     single_stack,
 )
 from .gating import GATE_LEVELS, GateParams, compute_gate, init_gate_params, utde_embed
-from .imputation import ReferenceGrid, conv_embed, discretize, impute
+from .imputation import ReferenceGrid, bin_series, conv_embed, impute
 from .mtand import (
     MtandParams,
     PaddedSeries,
@@ -338,7 +338,7 @@ def prepare_episode(ep: Episode, config: RunConfig, stats: NormalizationStats) -
         )
     grid = ReferenceGrid(config.alpha)
     series = group_by_feature(ep, config.n_features)
-    imputed = impute(discretize(ep, grid, config.n_features), stats).data
+    imputed = impute(bin_series(series, grid, ep.episode_id), stats).data
     return PreparedEpisode(
         episode_id=ep.episode_id,
         label=ep.label.astype(np.float64),

@@ -15,7 +15,8 @@ gradients meet on one node.
 
 The time embeddings of the grid and of the keys come from ``tensor``'s
 Time2Vec helper: sin by the half-angle tangent, and, while a tape records, the
-kept slope that the backward multiplies by instead of recomputing the angles.
+kept tangents, from which backward rebuilds the slope (and the keys) by the
+forward's own arithmetic instead of recomputing the angles.
 """
 
 from __future__ import annotations

@@ -337,12 +337,38 @@ def _time2vec_rows(times) -> np.ndarray:
     return np.stack((t, np.ones_like(t)), axis=1)
 
 
-def _time2vec(tk: np.ndarray, od: np.ndarray, pd: np.ndarray, keep_slope: bool = False):
+def _from_tangents(tangents: np.ndarray, linear_column: np.ndarray, sin=None, cos=None) -> None:
+    """From the half-angle tangents tau [V x n x d_v], one head at a time:
+    sin = 2 tau / (1 + tau^2) into ``sin``, whose column 0 becomes the linear
+    column, and the slope cos = (1 - tau^2) / (1 + tau^2) into ``cos``, whose
+    column 0 becomes 1. Either may be ``tangents`` itself. The forward and the
+    backward rebuild both run through here, so a rebuilt value equals the
+    forward's bit for bit."""
+    tau_sq = np.empty_like(tangents[0])  # one head at a time: no second full-size array
+    for v, tau in enumerate(tangents):
+        np.multiply(tau, tau, out=tau_sq)
+        if sin is not None:
+            np.add(tau, tau, out=sin[v])
+        if cos is not None:
+            np.subtract(1.0, tau_sq, out=cos[v])
+        tau_sq += 1.0
+        if sin is not None:
+            sin[v] /= tau_sq
+        if cos is not None:
+            cos[v] /= tau_sq
+    if sin is not None:
+        sin[..., 0] = linear_column
+    if cos is not None:
+        cos[..., 0] = 1.0
+
+
+def _time2vec(tk: np.ndarray, od: np.ndarray, pd: np.ndarray, keep: bool = False):
     """Time2Vec of n times under V heads, [V x n x d_v]: the angles
     omega * t + phi as one [n x 2] @ [V x 2 x d_v] product of the rows (t, 1),
-    with sin taken on the periodic columns. Returns (embedding, slope); the
-    slope, d embedding / d angle (1 on the linear column, cos on the others),
-    is None unless ``keep_slope``.
+    with sin taken on the periodic columns. Returns (embedding, kept); ``kept``
+    is None unless ``keep``, and then holds a copy of the half-angle tangents
+    [V x n x d_v] and the linear column [V x n], from which
+    ``_time2vec_rebuild`` gives back the embedding and its slope.
 
     sin and cos come from one tangent of the half angle, tau = tan(angle / 2):
     sin = 2 tau / (1 + tau^2) and cos = (1 - tau^2) / (1 + tau^2). numpy runs
@@ -359,30 +385,27 @@ def _time2vec(tk: np.ndarray, od: np.ndarray, pd: np.ndarray, keep_slope: bool =
     # in place on every column, one contiguous SIMD pass (tan is finite, so
     # column 0 squares safely before it is overwritten)
     np.tan(emb, out=emb)
-    slope = np.empty_like(emb) if keep_slope else None
-    # 1 + tau^2 one head at a time, so a forward-only call holds no second
-    # full-size array
-    tau_sq = np.empty_like(emb[0])
-    for v, tau in enumerate(emb):
-        np.multiply(tau, tau, out=tau_sq)
-        if slope is not None:
-            np.subtract(1.0, tau_sq, out=slope[v])
-        tau_sq += 1.0
-        if slope is not None:
-            slope[v] /= tau_sq
-        tau += tau
-        tau /= tau_sq  # sin
-    emb[..., 0] = linear_column
-    if slope is not None:
-        slope[..., 0] = 1.0
-    return emb, slope
+    kept = (emb.copy(), linear_column) if keep else None
+    _from_tangents(emb, linear_column, sin=emb)
+    return emb, kept
+
+
+def _time2vec_rebuild(kept) -> tuple[np.ndarray, np.ndarray]:
+    """(embedding, slope) from what a taped ``_time2vec`` kept, by the
+    forward's own operations. The slope, d embedding / d angle, is 1 on the
+    linear column and cos on the others; it overwrites the kept tangents,
+    which a tape's single sweep reads once. The embedding is a fresh array."""
+    tangents, linear_column = kept
+    emb = np.empty_like(tangents)
+    _from_tangents(tangents, linear_column, sin=emb, cos=tangents)
+    return emb, tangents
 
 
 def _time2vec_backward(tk: np.ndarray, slope: np.ndarray, g: np.ndarray):
     """(omega, phi) gradients of Time2Vec for the output gradient ``g``
-    [V x n x d_v] and the slope the forward kept: the angle gradient is
-    g * slope, and one [2 x n] product per head sums it against the rows
-    (t, 1). Overwrites ``slope``, which a tape's single sweep reads once."""
+    [V x n x d_v] and the rebuilt slope: the angle gradient is g * slope, and
+    one [2 x n] product per head sums it against the rows (t, 1). Overwrites
+    ``slope``."""
     slope *= g  # d loss / d angle
     g_bank = tk.T @ slope  # [V x 2 x d_v]
     return g_bank[:, 0], g_bank[:, 1]
@@ -392,17 +415,20 @@ def time_embedding(times, omega: Tensor, phi: Tensor) -> Tensor:
     """Time2Vec of n times under V heads at once: [V x n x d_v] for omega and
     phi [V x d_v]. Column 0 is omega[:, 0] * t + phi[:, 0] (linear); column
     i >= 1 is sin(omega[:, i] * t + phi[:, i]). While a tape records, the
-    forward keeps the slope d output / d angle, so backward is one product
-    with it and computes no transcendental."""
+    forward keeps the half-angle tangents, and backward rebuilds the slope
+    d output / d angle from them with the forward's own arithmetic; it
+    computes no transcendental."""
     od, pd = omega.data, phi.data
     if od.ndim != 2 or pd.shape != od.shape:
         raise ShapeError(f"omega and phi must both be [V x d_v], got {od.shape} and {pd.shape}")
     tk = _time2vec_rows(times)
     tape = _active_tape()
-    emb, slope = _time2vec(tk, od, pd, keep_slope=tape is not None)
+    emb, kept = _time2vec(tk, od, pd, keep=tape is not None)
     out = Tensor(emb)
     if tape is not None:
-        tape.record(out, (omega, phi), lambda g: _time2vec_backward(tk, slope, g), "time_embedding")
+        tape.record(
+            out, (omega, phi), lambda g: _time2vec_backward(tk, _time2vec_rebuild(kept)[1], g), "time_embedding"
+        )
     return out
 
 
@@ -421,10 +447,12 @@ def segment_time_attention(
     mixes segment s's values by query i's weights under head v, and a
     segment without keys gives zero rows.
 
-    Nothing is padded: the work and the memory kept for backward (keys, the
-    Time2Vec slope and weights, [V x n x d_v] twice and [V x n x a]) are
-    linear in the key count. The segment reductions run along the key axis
-    with ``reduceat`` at the segment starts.
+    Nothing is padded: the work and the memory kept for backward (the
+    Time2Vec tangents [V x n x d_v] and linear column [V x n], and the
+    weights [V x n x a]) are linear in the key count. The keys are dropped
+    once scored; backward rebuilds them and the Time2Vec slope from the
+    tangents, bit for bit. The segment reductions run along the key axis with
+    ``reduceat`` at the segment starts.
     """
     qd, od, pd = queries.data, omega.data, phi.data
     if od.ndim != 2 or pd.shape != od.shape or qd.ndim != 3 or qd.shape[::2] != od.shape:
@@ -451,8 +479,9 @@ def segment_time_attention(
         return np.repeat(x, counts, axis=1)
 
     tape = _active_tape()
-    keys, slope = _time2vec(tk, od, pd, keep_slope=tape is not None)
+    keys, kept = _time2vec(tk, od, pd, keep=tape is not None)
     w = keys @ np.swapaxes(qd, 1, 2)  # scores [V x n x a], key-major so segments are row blocks
+    del keys
     w -= spread(np.maximum.reduceat(w, starts, axis=1))
     np.exp(w, out=w)
     w /= spread(np.add.reduceat(w, starts, axis=1))
@@ -466,8 +495,9 @@ def segment_time_attention(
             g_w = (g_mixed * vals[:, None, :]).sum(axis=-1)
             g_s = g_w * w
             g_s -= w * spread(np.add.reduceat(g_s, starts, axis=1))  # softmax within each segment
+            keys, slope = _time2vec_rebuild(kept)
             g_q = np.swapaxes(g_s, 1, 2) @ keys
-            g_keys = g_s @ qd
+            g_keys = np.matmul(g_s, qd, out=keys)  # the keys are spent
             return (g_q, *_time2vec_backward(tk, slope, g_keys))
 
         tape.record(result, (queries, omega, phi), backward, "segment_time_attention")
@@ -669,10 +699,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def _softmax_weights(sd: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Softmax of an array over its last axis, where ``mask`` (bool, broadcast
-    to the array) marks the valid entries; a row without one comes back all zero."""
+    """Softmax of a fresh array over its last axis, where ``mask`` (bool,
+    broadcast to the array) marks the valid entries; a row without one comes
+    back all zero. Without a mask the weights overwrite ``sd``."""
     if mask is None:
-        e = sd - sd.max(axis=-1, keepdims=True)
+        # initial= takes numpy's faster reduction path for a short last axis
+        e = sd
+        e -= sd.max(axis=-1, keepdims=True, initial=-np.inf)
         any_valid = True
     else:
         m = np.broadcast_to(np.asarray(mask, dtype=bool), sd.shape)
@@ -715,7 +748,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, key_mask=None) -> Ten
         return out
 
     qh, kh, vh = split(qd, a), split(kd, l), split(vd, l)
-    w = _softmax_weights(qh @ np.swapaxes(kh, -1, -2) * scale, mask)  # [... x H x a x l]
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= scale
+    w = _softmax_weights(scores, mask)  # [... x H x a x l]
     out = Tensor(merge(w @ vh, a))
     tape = _active_tape()
     if tape is not None:

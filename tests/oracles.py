@@ -85,6 +85,20 @@ def layer_norm_oracle(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: fl
     return (x - mu) / np.sqrt(var + eps) * gain + bias
 
 
+# ------------------------------------------------------------------ imputation
+
+def forward_fill_loop(values: np.ndarray, mask: np.ndarray, global_mean: np.ndarray) -> np.ndarray:
+    """Forward-fill each column of [alpha x d_m] ``values`` over its observed
+    bins (``mask``), one bin at a time; leading gaps take ``global_mean``."""
+    out = values.copy()
+    filled = np.where(mask[0], values[0], global_mean)
+    out[0] = filled
+    for b in range(1, values.shape[0]):
+        filled = np.where(mask[b], values[b], filled)
+        out[b] = filled
+    return out
+
+
 # ------------------------------------------------------------------ metrics
 
 def auroc_pairs(scores, labels) -> float:

@@ -1,6 +1,8 @@
 """Episode schema, ingestion, normalization, text hashing, and the generator."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,33 @@ def make_record(**overrides):
     return rec
 
 
+def bits(values) -> bytes:
+    """The float64 bytes of ``values``: equal only if every value is the same
+    double, so -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@st.composite
+def any_episode(draw):
+    """An episode the loader accepts under 3 features, 2 classes and width-3
+    embeddings: any finite values and times >= 0 (including -0.0 and
+    subnormals), unicode ids and text, and notes time-sorted with ties."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    times = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.5]), st.floats(min_value=0.0, allow_infinity=False))
+    obs = st.builds(TsObservation, st.integers(0, 2), times, finite)
+    text_note = st.builds(lambda t, s: NoteEvent(t, text=s), times, st.text(max_size=12))
+    emb_note = st.builds(
+        lambda t, e: NoteEvent(t, embedding=np.array(e)), times, st.lists(finite, min_size=3, max_size=3)
+    )
+    notes = draw(st.lists(st.one_of(text_note, emb_note), min_size=1, max_size=4))
+    return Episode(
+        draw(st.text(max_size=12)),
+        tuple(draw(st.lists(obs, max_size=6))),
+        tuple(sorted(notes, key=lambda n: n.time)),  # stable: tied times keep their order
+        np.array(draw(st.lists(st.integers(0, 1), min_size=2, max_size=2))),
+    )
+
+
 class TestLoad:
     def test_empty_file_gives_empty_list(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -77,6 +106,37 @@ class TestLoad:
             for na, nb in zip(a.notes, b.notes):
                 assert na.time == nb.time
                 assert_array_equal(na.embedding, nb.embedding)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(any_episode(), max_size=4, unique_by=lambda ep: ep.episode_id))
+    @example(
+        [
+            Episode(
+                "a\u2028b",
+                (TsObservation(0, -0.0, -0.0), TsObservation(2, 5e-324, 1.7976931348623157e308)),
+                (NoteEvent(0.0, text=""), NoteEvent(0.0, embedding=np.array([5e-324, -0.0, 1e308]))),
+                np.array([1, 0]),
+            )
+        ]
+    )
+    def test_any_episodes_round_trip_bit_for_bit(self, episodes):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "d.jsonl"
+            save_episodes(path, episodes)
+            back = load_episodes(path, TaskSchema(n_features=3, n_classes=2, text_dim=3))
+        assert len(back) == len(episodes)
+        for a, b in zip(episodes, back):
+            assert b.episode_id == a.episode_id
+            assert [o.feature_index for o in b.observations] == [o.feature_index for o in a.observations]
+            pairs = [(o.time, o.value) for o in a.observations]
+            assert bits([(o.time, o.value) for o in b.observations]) == bits(pairs)
+            assert bits([n.time for n in b.notes]) == bits([n.time for n in a.notes])
+            assert [n.text for n in b.notes] == [n.text for n in a.notes]
+            for na, nb in zip(a.notes, b.notes):
+                assert (nb.embedding is None) == (na.embedding is None)
+                if na.embedding is not None:
+                    assert bits(nb.embedding) == bits(na.embedding)
+            assert b.label.tolist() == a.label.tolist()
 
     def test_malformed_json_reports_line(self, tmp_path):
         p = tmp_path / "d.jsonl"

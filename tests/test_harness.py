@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -103,6 +104,50 @@ def test_best_checkpoint_is_earliest_maximum(splits):
     # running best never decreases
     best = np.maximum.accumulate(vals)
     assert list(best) == sorted(best)
+
+
+@pytest.fixture(scope="module")
+def fused_splits():
+    eps = generate_synthetic(GenConfig(n_episodes=24, task="xor_fusion", seed=5))
+    return eps[:16], eps[16:]
+
+
+def fused_config(seed: int, epochs: int) -> RunConfig:
+    return RunConfig(seed=seed, epochs=epochs, batch_size=8, fusion_layers=1)
+
+
+def test_initialization_best_after_a_step_is_redrawn_from_the_seed(fused_splits):
+    config = fused_config(seed=0, epochs=1)
+    losses = []
+    ckpt = train(config, *fused_splits, loss_trace=losses)
+    assert ckpt.epoch == 0 and losses  # steps were taken, yet epoch 0 scored best
+    np.testing.assert_array_equal(ckpt.buffer, init_model(config).buffer)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fused_training_peak_stays_within_a_parameter_multiple(fused_splits, seed):
+    """Parameters, gradient, two Adam moments and one group's tape, with no
+    copy of the initialization: tracemalloc's peak over a one-epoch fused run
+    stays below 7.3 parameter buffers."""
+    config = fused_config(seed=seed, epochs=1)
+    param_bytes = init_model(config).buffer.nbytes
+    tracemalloc.start()
+    try:
+        train(config, *fused_splits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.3 * param_bytes
+
+
+def test_best_epoch_one_is_copied_before_later_steps(fused_splits):
+    """A three-epoch run whose epoch 1 scores best returns the parameters a
+    one-epoch run of the same seed ends with."""
+    vals = []
+    three = train(fused_config(seed=2, epochs=3), *fused_splits, val_trace=vals)
+    one = train(fused_config(seed=2, epochs=1), *fused_splits)
+    assert three.epoch == one.epoch == 1 and len(vals) == 4
+    np.testing.assert_array_equal(three.buffer, one.buffer)
 
 
 def test_stored_metric_reproduced_bit_exactly(splits):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mmists.data import (
@@ -16,6 +18,8 @@ from mmists.data import (
 )
 from mmists.imputation import DiscretizedSeries, ReferenceGrid, conv_embed, discretize, impute
 from mmists.tensor import Tensor
+
+from oracles import forward_fill_loop
 
 
 def stats_with_means(means, alpha_hours=4.0):
@@ -82,6 +86,10 @@ class TestDiscretize:
         with pytest.raises(DataError, match="outside the window"):
             discretize(episode([TsObservation(0, 1.0, 1.0)]), ReferenceGrid(4), 1)
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(DataError, match="outside the window"):
+            discretize(episode([TsObservation(0, -0.5, 1.0)]), ReferenceGrid(4), 1)
+
     def test_matches_scan_oracle_on_random_episodes(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -143,6 +151,23 @@ class TestImpute:
         for ep in neps:
             out = impute(discretize(ep, grid, 4), stats)
             assert np.all(out.data >= 0.0) and np.all(out.data <= 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda alpha: st.tuples(
+                st.lists(st.floats(allow_nan=False), min_size=3 * alpha, max_size=3 * alpha),
+                st.lists(st.booleans(), min_size=3 * alpha, max_size=3 * alpha),
+            )
+        ),
+        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    )
+    def test_equals_the_bin_by_bin_loop_bit_for_bit(self, values_and_mask, means):
+        values, mask = (np.array(x).reshape(-1, 3) for x in values_and_mask)
+        series = DiscretizedSeries(values=values, observed_mask=mask)
+        out = impute(series, stats_with_means(means)).data
+        want = forward_fill_loop(values, mask, np.array(means))
+        assert_array_equal(out.view(np.int64), want.view(np.int64))
 
     def test_feature_count_mismatch_rejected(self):
         series = DiscretizedSeries(np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))

@@ -2,6 +2,8 @@
 per-head oracle on padded groups, gradients against central differences,
 and properties over random segmentations and padding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from numpy.testing import assert_allclose
 
 from mmists.imputation import ReferenceGrid
 from mmists.mtand import PaddedSeries, init_mtand_params, init_time2vec_bank, mtand_ts, mtand_txt
-from mmists.tensor import ShapeError, Tensor, segment_time_attention
+from mmists.model import RunConfig
+from mmists.tensor import ShapeError, Tape, Tensor, segment_time_attention
 
 from gradcheck import reduce_sum, sin
 from oracles import time_attention_oracle
@@ -158,6 +161,27 @@ class TestKernel:
             segment_time_attention(queries, times, omega, phi, [0, 0, 1], 3, values)
         with pytest.raises(ShapeError):
             segment_time_attention(queries, times, phi, Tensor(np.ones((3, 4))), [0] * 6, 1, values)
+
+    def test_taped_call_keeps_one_key_sized_array(self):
+        """At the default config's V, d_v and alpha, a taped call keeps the
+        weights [V x n x a], its output and one [V x n x d_v] array (the
+        Time2Vec tangents), not the keys and the slope as well."""
+        config = RunConfig()
+        v, d_v, a, n = config.time_heads, config.d_timeembed, config.alpha, 200
+        rng = np.random.default_rng(76)
+        queries = Tensor(rng.normal(size=(v, a, d_v)))
+        omega, phi = Tensor(rng.normal(size=(v, d_v))), Tensor(rng.normal(size=(v, d_v)))
+        times, values = np.sort(rng.random(n)), rng.normal(size=n)
+        segments = np.repeat(np.arange(4), n // 4)
+        tracemalloc.start()
+        try:
+            with Tape():
+                out = segment_time_attention(queries, times, omega, phi, segments, 4, values)
+                held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        key_sized = v * n * d_v * 8
+        assert key_sized <= held - out.data.nbytes - v * n * a * 8 < 1.5 * key_sized
 
 
 @st.composite

@@ -1,12 +1,14 @@
 """The shared Time2Vec helper: sin/cos from the half-angle tangent, and the
-slope the forward keeps for backward.
+slope backward rebuilds from the tangents the forward keeps.
 
 ``tensor._time2vec`` takes sin of the periodic angles as 2 tau / (1 + tau^2)
-with tau = tan(angle / 2), and, while a tape records, keeps the slope
-(1 on the linear column, cos = (1 - tau^2) / (1 + tau^2) on the others), so
-backward is one product with it. These tests hold both against numpy's
-``sin``/``cos`` over negative and large angles and at the poles of tau, and
-hold the kept-slope gradients against a backward that recomputes the angles.
+with tau = tan(angle / 2), and, while a tape records, keeps the tangents and
+the linear column; ``tensor._time2vec_rebuild`` gives back the embedding and
+the slope (1 on the linear column, cos = (1 - tau^2) / (1 + tau^2) on the
+others) from them, so backward is one product with the slope. These tests
+hold both against numpy's ``sin``/``cos`` over negative and large angles and
+at the poles of tau, and hold the rebuilt-slope gradients against a backward
+that recomputes the angles.
 """
 
 import math
@@ -66,10 +68,12 @@ def test_embedding_slope_and_gradient_match_sin_cos(values, g_values):
     g = np.asarray(g_values[: theta.size]).reshape(1, 1, -1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        emb, slope = tensor._time2vec(rows, omega, phi, keep_slope=True)
+        emb, kept = tensor._time2vec(rows, omega, phi, keep=True)
+        rebuilt, slope = tensor._time2vec_rebuild(kept)
         g_omega, g_phi = tensor._time2vec_backward(rows, slope.copy(), g)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    np.testing.assert_array_equal(rebuilt, emb)
     assert emb[0, 0, 0] == theta[0] and slope[0, 0, 0] == 1.0
     assert np.max(np.abs(emb[0, 0, 1:] - np.sin(theta[1:]))) <= BOUND
     assert np.max(np.abs(slope[0, 0, 1:] - np.cos(theta[1:]))) <= BOUND
@@ -103,7 +107,8 @@ def test_poles_give_exact_limits():
     the tiny residual np.sin gives and cos is -1."""
     k = np.arange(-POLE_K - 1, POLE_K + 1)
     rows, omega, phi = _angle_rows(np.r_[0.0, (2 * k + 1) * np.pi])
-    emb, slope = tensor._time2vec(rows, omega, phi, keep_slope=True)
+    emb, kept = tensor._time2vec(rows, omega, phi, keep=True)
+    _, slope = tensor._time2vec_rebuild(kept)
     assert np.all(np.isfinite(emb)) and np.all(np.isfinite(slope))
     assert np.max(np.abs(emb[0, 0, 1:] - np.sin(omega[0, 1:]))) <= 1e-27
     assert np.all(slope[0, 0, 1:] == -1.0)
@@ -113,30 +118,45 @@ def test_forward_only_keeps_no_slope_and_equal_embedding():
     rng = np.random.default_rng(7)
     rows = tensor._time2vec_rows(rng.uniform(0.0, 1.0, 50))
     omega, phi = rng.normal(0.0, 30.0, (4, 9)), rng.normal(0.0, 3.0, (4, 9))
-    emb, slope = tensor._time2vec(rows, omega, phi)
-    assert slope is None
-    emb_kept, slope_kept = tensor._time2vec(rows, omega, phi, keep_slope=True)
+    emb, kept = tensor._time2vec(rows, omega, phi)
+    assert kept is None
+    emb_kept, (tangents, linear_column) = tensor._time2vec(rows, omega, phi, keep=True)
     np.testing.assert_array_equal(emb, emb_kept)
-    assert slope_kept.shape == emb.shape
+    assert tangents.shape == emb.shape and linear_column.shape == emb.shape[:-1]
+    rebuilt, slope = tensor._time2vec_rebuild((tangents, linear_column))
+    np.testing.assert_array_equal(rebuilt, emb)
+    assert slope is tangents  # the slope overwrites the kept tangents
     # the linear column equals the whole-angle product bit for bit
     np.testing.assert_array_equal(emb[..., 0], (rows @ np.stack((omega, phi), axis=1))[..., 0])
 
 
-def _recompute_reference(helper):
-    """A ``_time2vec`` whose forward is the shipped one but whose slope is
-    recomputed from the angles with np.cos, as a backward without a kept
-    slope would compute it."""
+def _patch_cos_reference(monkeypatch):
+    """Make the slope rebuild recompute the slope from the angles with
+    np.cos, as a backward without kept tangents would; the forward and the
+    rebuilt embedding stay the shipped ones. The patched ``_time2vec`` notes
+    each taped call's angles under its kept tangents array, which the rebuild
+    overwrites in place with the slope. Returns the angles not yet rebuilt
+    and the list of rebuilt slopes' shapes."""
+    shipped_forward, shipped_rebuild = tensor._time2vec, tensor._time2vec_rebuild
+    angles_of, rebuilt = {}, []
 
-    def reference(tk, od, pd, keep_slope=False):
-        emb, _ = helper(tk, od, pd)
-        if not keep_slope:
-            return emb, None
-        slope = tk @ np.stack((od, pd), axis=1)
-        np.cos(slope[..., 1:], out=slope[..., 1:])
+    def forward(tk, od, pd, keep=False):
+        emb, kept = shipped_forward(tk, od, pd, keep)
+        if kept is not None:
+            angles_of[id(kept[0])] = tk @ np.stack((od, pd), axis=1)
+        return emb, kept
+
+    def rebuild(kept):
+        emb, slope = shipped_rebuild(kept)
+        angles = angles_of.pop(id(slope))
+        np.cos(angles[..., 1:], out=slope[..., 1:])
         slope[..., 0] = 1.0
+        rebuilt.append(slope.shape)
         return emb, slope
 
-    return reference
+    monkeypatch.setattr(tensor, "_time2vec", forward)
+    monkeypatch.setattr(tensor, "_time2vec_rebuild", rebuild)
+    return angles_of, rebuilt
 
 
 def _group_gradients(config, group, params):
@@ -158,8 +178,11 @@ def test_kept_slope_gradients_equal_recompute_reference(monkeypatch, modality):
     params = model.init_model(config)
 
     kept = _group_gradients(config, group, params)
-    monkeypatch.setattr(tensor, "_time2vec", _recompute_reference(tensor._time2vec))
+    pending, rebuilt = _patch_cos_reference(monkeypatch)
     recomputed = _group_gradients(config, group, params)
+    # the grid's slope and the observation keys' (and the note keys', when
+    # fused), each from np.cos
+    assert len(rebuilt) == (3 if modality == "fused" else 2) and not pending
 
     assert np.any(kept["bank.omega"] != 0.0)
     for name, g in kept.items():
