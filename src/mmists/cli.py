@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    GEN_TASKS,
     DataError,
     GenConfig,
     TaskSchema,
@@ -43,7 +44,7 @@ from .harness import (
     train,
 )
 from .metrics import UndefinedMetricError, report_to_line
-from .model import ConfigError, RunConfig
+from .model import TS_EMBEDS, ConfigError, RunConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -222,7 +223,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     test_eps = load_episodes(config.test_path, schema)
 
     # switch matrix; toggles without effect on the chosen modality collapse away
-    ts_embeds = [config.ts_embed] if config.modality == "txt" else ["utde", "imputation", "mtand"]
+    ts_embeds = [config.ts_embed] if config.modality == "txt" else TS_EMBEDS
     text_flags = [config.text_irregularity] if config.modality == "ts" else [True, False]
     for ts_embed, text_flag in itertools.product(ts_embeds, text_flags):
         variant = dataclasses.replace(config, ts_embed=ts_embed, text_irregularity=text_flag)
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write a synthetic episode dataset")
     gen.add_argument("--out", required=True)
     gen.add_argument("--n-episodes", type=int, required=True)
-    gen.add_argument("--task", required=True, choices=["ts_only", "notes_only", "xor_fusion"])
+    gen.add_argument("--task", required=True, choices=GEN_TASKS)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--n-features", type=int, default=4)
     gen.add_argument("--text-dim", type=int, default=16)

@@ -24,6 +24,7 @@ __all__ = [
     "TaskSchema",
     "NormalizationStats",
     "GenConfig",
+    "GEN_TASKS",
     "load_episodes",
     "save_episodes",
     "normalize",
@@ -144,6 +145,13 @@ def load_episodes(path, schema: TaskSchema) -> list[Episode]:
     return episodes
 
 
+def _number(x) -> float:
+    """A JSON number as a float; TypeError for anything else, true and "2" included."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a number, got {type(x).__name__}")
+    return float(x)
+
+
 def _parse_record(rec: dict, schema: TaskSchema, line_no: int) -> Episode:
     def fail(field: str, why: str):
         raise DataError(f"line {line_no}: field '{field}': {why}")
@@ -161,8 +169,8 @@ def _parse_record(rec: dict, schema: TaskSchema, line_no: int) -> Episode:
     obs = []
     for j, o in enumerate(rec["ts"]):
         try:
-            raw_f, t, v = float(o["f"]), float(o["t"]), float(o["v"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+            raw_f, t, v = _number(o["f"]), _number(o["t"]), _number(o["v"])
+        except (KeyError, TypeError, OverflowError):
             fail("ts", f"entry {j} must carry numeric f/t/v")
         if not raw_f.is_integer():
             fail("ts", f"entry {j}: feature index {o['f']!r} is not an integer")
@@ -177,8 +185,8 @@ def _parse_record(rec: dict, schema: TaskSchema, line_no: int) -> Episode:
     notes = []
     for j, n in enumerate(rec["notes"]):
         try:
-            t = float(n["t"])
-        except (KeyError, TypeError, ValueError):
+            t = _number(n["t"])
+        except (KeyError, TypeError, OverflowError):
             fail("notes", f"entry {j} must carry numeric t")
         if not math.isfinite(t) or t < 0:
             fail("notes", f"entry {j}: time must be finite and >= 0, got {t}")
@@ -186,14 +194,17 @@ def _parse_record(rec: dict, schema: TaskSchema, line_no: int) -> Episode:
         if has_text == has_emb:
             fail("notes", f"entry {j} must carry exactly one of text/emb")
         if has_text:
-            notes.append(NoteEvent(t, text=str(n["text"])))
+            if not isinstance(n["text"], str):
+                fail("notes", f"entry {j}: text must be a string, got {type(n['text']).__name__}")
+            notes.append(NoteEvent(t, text=n["text"]))
         else:
+            emb = n["emb"]
             try:
-                emb = np.asarray(n["emb"], dtype=np.float64)
-            except (TypeError, ValueError):
-                fail("notes", f"entry {j}: emb must be a list of numbers")
-            if emb.ndim != 1:
-                fail("notes", f"entry {j}: emb must be a flat vector")
+                if not isinstance(emb, list):
+                    raise TypeError
+                emb = np.array([_number(x) for x in emb])
+            except (TypeError, OverflowError):
+                fail("notes", f"entry {j}: emb must be a flat list of numbers")
             if schema.text_dim is not None and emb.shape[0] != schema.text_dim:
                 fail("notes", f"entry {j}: emb length {emb.shape[0]} != {schema.text_dim}")
             if not np.all(np.isfinite(emb)):
@@ -204,7 +215,7 @@ def _parse_record(rec: dict, schema: TaskSchema, line_no: int) -> Episode:
     y = rec["y"]
     if not isinstance(y, list) or len(y) != schema.n_classes:
         fail("y", f"expected {schema.n_classes} labels, got {y!r}")
-    if any(v not in (0, 1) for v in y):
+    if any(isinstance(v, bool) or v not in (0, 1) for v in y):
         fail("y", f"labels must be 0/1, got {y!r}")
     return Episode(
         episode_id=rec["id"],
@@ -387,6 +398,9 @@ def note_matrix(ep: Episode) -> tuple[np.ndarray, np.ndarray]:
     return times, embs
 
 
+GEN_TASKS = ("ts_only", "notes_only", "xor_fusion")  # what the synthetic labels read
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Synthetic-dataset knobs; defaults sized for quick desk-scale experiments."""
@@ -396,7 +410,7 @@ class GenConfig:
     text_dim: int = 16
     alpha_hours: float = 24.0
     sparsity: float = 0.3  # expected observations per feature per hour
-    task: str = "ts_only"  # ts_only | notes_only | xor_fusion
+    task: str = "ts_only"  # one of GEN_TASKS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -414,7 +428,7 @@ class GenConfig:
             raise DataError(f"sparsity * alpha_hours must be <= {_MAX_EXPECTED_OBS:g} expected observations")
         if self.text_dim < 1:
             raise DataError(f"text_dim must be >= 1, got {self.text_dim}")
-        if self.task not in ("ts_only", "notes_only", "xor_fusion"):
+        if self.task not in GEN_TASKS:
             raise DataError(f"unknown task {self.task!r}")
 
 

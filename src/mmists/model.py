@@ -47,7 +47,6 @@ from .mtand import (
     mtand_ts,
     mtand_txt,
     pad_series,
-    time2vec_heads,
 )
 from .tensor import Tensor, buffer_views, concat, layer_norm, linear, reshape
 
@@ -389,18 +388,16 @@ def ts_embedding(
     params: ModelParams,
     config: RunConfig,
     gate_override: float | None = None,
-    grid_embedding: Tensor | None = None,
 ) -> Tensor:
     """The time-series stream [G x alpha x d_h]: imputation-only,
-    interpolation-only, or gated blend. ``grid_embedding`` is the grid's
-    time embedding under the shared bank, when the caller has it already."""
+    interpolation-only, or gated blend."""
     grid = ReferenceGrid(config.alpha)
     if config.ts_embed == "imputation":
         return conv_embed(Tensor(batch.imputed), params.conv_kernel, params.conv_bias)
     if config.ts_embed == "mtand":
-        return mtand_ts(batch.series, grid, params.ts_interp, grid_embedding)
+        return mtand_ts(batch.series, grid, params.ts_interp)
     e_imp = conv_embed(Tensor(batch.imputed), params.conv_kernel, params.conv_bias)
-    e_attn = mtand_ts(batch.series, grid, params.ts_interp, grid_embedding)
+    e_attn = mtand_ts(batch.series, grid, params.ts_interp)
     if gate_override is None:
         g = compute_gate(e_imp, e_attn, params.gate)
     else:
@@ -409,15 +406,13 @@ def ts_embedding(
 
 
 def _txt_stream(
-    batch: EpisodeBatch, params: ModelParams, config: RunConfig, grid_embedding: Tensor | None = None
+    batch: EpisodeBatch, params: ModelParams, config: RunConfig
 ) -> tuple[Tensor, np.ndarray | None, int | np.ndarray]:
     """Text stream [G x alpha x d_h] plus its key mask and each episode's row
     holding the last real note state."""
     grid = ReferenceGrid(config.alpha)
     if config.text_irregularity:
-        z = mtand_txt(
-            batch.note_times, batch.note_embs, grid, params.txt_interp, batch.note_mask, grid_embedding
-        )
+        z = mtand_txt(batch.note_times, batch.note_embs, grid, params.txt_interp, batch.note_mask)
         return z, None, config.alpha - 1
     g, n = batch.note_mask.shape
     if n > config.alpha:
@@ -430,12 +425,10 @@ def _txt_stream(
 
 
 def forward_fused(batch: EpisodeBatch, params: ModelParams, config: RunConfig) -> Tensor:
-    grid_embedding = None
-    if config.ts_embed != "imputation" and config.text_irregularity:
-        # both streams run mTAND: embed the grid once under the shared bank
-        grid_embedding = time2vec_heads(ReferenceGrid(config.alpha).points, params.bank)
-    z_ts = ts_embedding(batch, params, config, grid_embedding=grid_embedding)
-    z_txt, txt_mask, txt_row = _txt_stream(batch, params, config, grid_embedding)
+    """Logits [G x n_classes]; when both streams run mTAND, each embeds the grid
+    in its own kernel node, and the tape adds their shared-bank gradients."""
+    z_ts = ts_embedding(batch, params, config)
+    z_txt, txt_mask, txt_row = _txt_stream(batch, params, config)
     z_ts, z_txt = fusion_stack(
         z_ts, z_txt, params.fusion_layers, config.heads,
         txt_key_mask=txt_mask, ts_row=config.alpha - 1, txt_row=txt_row,

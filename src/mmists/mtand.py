@@ -8,15 +8,11 @@ weights stay separate.
 Only valid keys are embedded and scored: padding slots never enter the
 computation. Each series is one segment of the valid keys (one feature of one
 episode for ``mtand_ts``, one episode's notes for ``mtand_txt``), and every
-grid query takes its softmax within each segment, all in one
-``segment_time_attention`` tape node. A fused forward embeds the grid points
-once and hands that embedding to both calls, so the two streams' bank
-gradients meet on one node.
-
-The time embeddings of the grid and of the keys come from ``tensor``'s
-Time2Vec helper: sin by the half-angle tangent, and, while a tape records, the
-kept tangents, from which backward rebuilds the slope (and the keys) by the
-forward's own arithmetic instead of recomputing the angles.
+grid query takes its softmax within each segment. Each call is one
+``segment_time_attention`` tape node, from the grid times to the mixed
+values: the kernel embeds the grid queries and the keys with ``tensor``'s
+Time2Vec helper, projects the queries, scores, normalizes and mixes. The
+heads' outputs are then concatenated per grid row and projected.
 """
 
 from __future__ import annotations
@@ -28,15 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imputation import ReferenceGrid
-from .tensor import (
-    Tensor,
-    linear,
-    matmul,
-    reshape,
-    segment_time_attention,
-    time_embedding,
-    transpose,
-)
+from .tensor import Tensor, linear, reshape, segment_time_attention, transpose
 
 __all__ = [
     "Time2VecBank",
@@ -45,7 +33,6 @@ __all__ = [
     "pad_series",
     "init_time2vec_bank",
     "init_mtand_params",
-    "time2vec_heads",
     "mtand_ts",
     "mtand_txt",
 ]
@@ -131,18 +118,8 @@ def init_mtand_params(
     )
 
 
-def time2vec_heads(times: np.ndarray, bank: Time2VecBank) -> Tensor:
-    """All V heads at once: [V x n x d_v]."""
-    return time_embedding(times, bank.omega, bank.phi)
-
-
 def _interpolate(
-    key_times: np.ndarray,
-    key_mask: np.ndarray,
-    values: np.ndarray,
-    grid: ReferenceGrid,
-    params: MtandParams,
-    grid_embedding: Tensor | None,
+    key_times: np.ndarray, key_mask: np.ndarray, values: np.ndarray, grid: ReferenceGrid, params: MtandParams
 ) -> Tensor:
     """Every head's interpolation of every series onto the grid: [V x alpha x S x c].
 
@@ -150,21 +127,14 @@ def _interpolate(
     index (S of them); ``values`` [... x L x c] or [... x L] (c = 1) are the
     keys' values. Only the valid keys are embedded and scored, each grid
     query takes its softmax over each series' own keys, and a series without
-    keys gives zeros. Scores (e_q W_q)(e_k W_k)^T are taken as
-    ((e_q W_q) W_k^T) e_k^T, so the key projection is applied once to the
-    alpha grid queries instead of to every key.
+    keys gives zeros.
     """
-    v, d_v = params.bank.n_heads, params.bank.d_v
     n_series = math.prod(key_mask.shape[:-1])
-    if not key_mask.any():
-        return Tensor(np.zeros((v, grid.n_points, n_series, values.size // key_mask.size)))
-    if grid_embedding is None:
-        grid_embedding = time2vec_heads(grid.points, params.bank)
-    q = matmul(grid_embedding, params.w_query)  # [V x alpha x d_v]
-    qk = matmul(q, transpose(params.w_key, (0, 2, 1))) * (d_v**-0.5)
     series = np.nonzero(key_mask.reshape(n_series, -1))[0]  # each valid key's series, nondecreasing
+    bank = params.bank
     return segment_time_attention(
-        qk, key_times[key_mask], params.bank.omega, params.bank.phi, series, n_series, values[key_mask]
+        grid.points, params.w_query, params.w_key, key_times[key_mask], bank.omega, bank.phi,
+        series, n_series, values[key_mask],
     )
 
 
@@ -180,18 +150,15 @@ def _project_heads(mixed: Tensor, lead: tuple[int, ...], params: MtandParams) ->
     return linear(reshape(rows, (*lead, alpha, v * per_head[-1])), params.w_out, params.b_out)
 
 
-def mtand_ts(
-    series: PaddedSeries, grid: ReferenceGrid, params: MtandParams, grid_embedding: Tensor | None = None
-) -> Tensor:
+def mtand_ts(series: PaddedSeries, grid: ReferenceGrid, params: MtandParams) -> Tensor:
     """Interpolate each feature's own observations onto the grid, all heads and
     features in one segment attention, then project the concatenated head
     outputs.
 
     ``series`` [... x d_m x L] gives [... x alpha x d_h]; a feature without
-    observations contributes a zero column. ``grid_embedding`` is
-    ``time2vec_heads(grid.points, params.bank)``, computed here when not given.
+    observations contributes a zero column.
     """
-    mixed = _interpolate(series.times, series.mask, series.values, grid, params, grid_embedding)
+    mixed = _interpolate(series.times, series.mask, series.values, grid, params)
     return _project_heads(mixed, series.mask.shape[:-2], params)  # k = d_m: one column per feature
 
 
@@ -201,18 +168,17 @@ def mtand_txt(
     grid: ReferenceGrid,
     params: MtandParams,
     note_mask: np.ndarray | None = None,
-    grid_embedding: Tensor | None = None,
 ) -> Tensor:
     """Interpolate note embeddings (all dims share the note times) onto the grid.
 
     note_times [... x N], note_embeddings [... x N x d_t] and note_mask
     [... x N] (real notes; default all) give [... x alpha x d_h]. Every
-    episode needs at least one note. ``grid_embedding`` is as in ``mtand_ts``.
+    episode needs at least one note.
     """
     note_times = np.asarray(note_times, dtype=np.float64)
     mask = np.ones(note_times.shape, dtype=bool) if note_mask is None else np.asarray(note_mask, dtype=bool)
     if note_times.size == 0 or not mask.any(axis=-1).all():
         raise ValueError("mtand_txt needs at least one note per episode")
     embeddings = np.asarray(note_embeddings, dtype=np.float64)
-    mixed = _interpolate(note_times, mask, embeddings, grid, params, grid_embedding)
+    mixed = _interpolate(note_times, mask, embeddings, grid, params)
     return _project_heads(mixed, mask.shape[:-1], params)  # k = d_t

@@ -32,10 +32,8 @@ __all__ = [
     "buffer_views",
     "adam_init",
     "adam_step",
-    "matmul",
     "linear",
     "attention",
-    "time_embedding",
     "segment_time_attention",
     "add",
     "sub",
@@ -138,9 +136,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 @dataclass
@@ -411,53 +406,43 @@ def _time2vec_backward(tk: np.ndarray, slope: np.ndarray, g: np.ndarray):
     return g_bank[:, 0], g_bank[:, 1]
 
 
-def time_embedding(times, omega: Tensor, phi: Tensor) -> Tensor:
-    """Time2Vec of n times under V heads at once: [V x n x d_v] for omega and
-    phi [V x d_v]. Column 0 is omega[:, 0] * t + phi[:, 0] (linear); column
-    i >= 1 is sin(omega[:, i] * t + phi[:, i]). While a tape records, the
-    forward keeps the half-angle tangents, and backward rebuilds the slope
-    d output / d angle from them with the forward's own arithmetic; it
-    computes no transcendental."""
-    od, pd = omega.data, phi.data
-    if od.ndim != 2 or pd.shape != od.shape:
-        raise ShapeError(f"omega and phi must both be [V x d_v], got {od.shape} and {pd.shape}")
-    tk = _time2vec_rows(times)
-    tape = _active_tape()
-    emb, kept = _time2vec(tk, od, pd, keep=tape is not None)
-    out = Tensor(emb)
-    if tape is not None:
-        tape.record(
-            out, (omega, phi), lambda g: _time2vec_backward(tk, _time2vec_rebuild(kept)[1], g), "time_embedding"
-        )
-    return out
-
-
 def segment_time_attention(
-    queries: Tensor, key_times, omega: Tensor, phi: Tensor, segments, n_segments: int, values
+    query_times, w_query: Tensor, w_key: Tensor, key_times, omega: Tensor, phi: Tensor, segments, n_segments: int,
+    values,
 ) -> Tensor:
-    """mTAND time attention over keys split into segments, as one tape node.
+    """mTAND time attention of a query grid over keys split into segments, as
+    one tape node.
 
-    ``key_times`` [n] are embedded with Time2Vec under the V heads of
-    ``omega``/``phi`` [V x d_v] (as in ``time_embedding``), scored against
-    ``queries`` [V x a x d_v] (already projected and scaled), and each query
-    takes a softmax over the keys of each segment separately. ``segments``
-    [n] gives every key's segment in [0, n_segments); it must be
+    ``query_times`` [a] and ``key_times`` [n] are embedded with Time2Vec
+    under the V heads of ``omega``/``phi`` [V x d_v]: column 0 is
+    omega[:, 0] * t + phi[:, 0] (linear), column i >= 1 is
+    sin(omega[:, i] * t + phi[:, i]). Under head v, query embedding e_q and
+    key embedding e_k score (e_q W_q)(e_k W_k)^T / sqrt(d_v), with W_q and W_k
+    that head's [d_v x d_v] of ``w_query`` and ``w_key`` [V x d_v x d_v]. The
+    scores are taken as (((e_q W_q) W_k^T) / sqrt(d_v)) e_k^T, so the key
+    projection is applied once to the a queries instead of to every key. Each
+    query takes a softmax over the keys of each segment separately.
+    ``segments`` [n] gives every key's segment in [0, n_segments); it must be
     nondecreasing, so a segment's keys are contiguous. ``values`` [n] or
     [n x c] are constants. Returns [V x a x n_segments x c]: row (v, i, s)
-    mixes segment s's values by query i's weights under head v, and a
-    segment without keys gives zero rows.
+    mixes segment s's values by query i's weights under head v, and a segment
+    without keys gives zero rows (with no keys at all, the output is a
+    constant and nothing is recorded).
 
     Nothing is padded: the work and the memory kept for backward (the
     Time2Vec tangents [V x n x d_v] and linear column [V x n], and the
     weights [V x n x a]) are linear in the key count. The keys are dropped
-    once scored; backward rebuilds them and the Time2Vec slope from the
-    tangents, bit for bit. The segment reductions run along the key axis with
+    once scored; backward rebuilds them, the query embeddings and both
+    Time2Vec slopes from the tangents, bit for bit, so it computes no
+    transcendental. The bank gradients are the keys' share plus the
+    queries'. The segment reductions run along the key axis with
     ``reduceat`` at the segment starts.
     """
-    qd, od, pd = queries.data, omega.data, phi.data
-    if od.ndim != 2 or pd.shape != od.shape or qd.ndim != 3 or qd.shape[::2] != od.shape:
-        raise ShapeError(f"queries [V x a x d_v], omega and phi [V x d_v]; got {qd.shape}, {od.shape}, {pd.shape}")
-    tk = _time2vec_rows(key_times)
+    od, pd, wqd, wkd = omega.data, phi.data, w_query.data, w_key.data
+    if od.ndim != 2 or pd.shape != od.shape or wqd.shape != od.shape + od.shape[1:] or wkd.shape != wqd.shape:
+        shapes = " ".join(str(x.shape) for x in (od, pd, wqd, wkd))
+        raise ShapeError(f"omega, phi [V x d_v], w_query, w_key [V x d_v x d_v]; got {shapes}")
+    tq, tk = _time2vec_rows(query_times), _time2vec_rows(key_times)
     n = tk.shape[0]
     seg = np.asarray(segments, dtype=np.intp).reshape(-1)
     vals = np.asarray(values, dtype=np.float64)
@@ -466,8 +451,8 @@ def segment_time_attention(
         raise ShapeError(f"{seg.size} segment ids and values {vals.shape} for {n} keys")
     if n and (seg[0] < 0 or seg[-1] >= n_segments or np.any(seg[1:] < seg[:-1])):
         raise ValueError(f"segment ids must be nondecreasing in [0, {n_segments})")
-    v, a, _ = qd.shape
-    c = vals.shape[1]
+    v, d_v = od.shape
+    a, c = tq.shape[0], vals.shape[1]
     out = np.zeros((v, a, n_segments, c))
     if n == 0:
         return Tensor(out)
@@ -479,6 +464,11 @@ def segment_time_attention(
         return np.repeat(x, counts, axis=1)
 
     tape = _active_tape()
+    scale = d_v**-0.5
+    emb_q, kept_q = _time2vec(tq, od, pd, keep=tape is not None)
+    proj = emb_q @ wqd  # e_q W_q [V x a x d_v]
+    qd = proj @ np.ascontiguousarray(np.swapaxes(wkd, 1, 2))
+    qd *= scale  # the queries [V x a x d_v]
     keys, kept = _time2vec(tk, od, pd, keep=tape is not None)
     w = keys @ np.swapaxes(qd, 1, 2)  # scores [V x n x a], key-major so segments are row blocks
     del keys
@@ -498,9 +488,18 @@ def segment_time_attention(
             keys, slope = _time2vec_rebuild(kept)
             g_q = np.swapaxes(g_s, 1, 2) @ keys
             g_keys = np.matmul(g_s, qd, out=keys)  # the keys are spent
-            return (g_q, *_time2vec_backward(tk, slope, g_keys))
+            g_omega, g_phi = _time2vec_backward(tk, slope, g_keys)
+            g_q *= scale  # back through the queries' projections and Time2Vec
+            g_wk = np.swapaxes(g_q, 1, 2) @ proj
+            g_proj = g_q @ wkd
+            emb_q, slope_q = _time2vec_rebuild(kept_q)
+            g_wq = np.swapaxes(emb_q, 1, 2) @ g_proj
+            g_emb_q = g_proj @ np.swapaxes(wqd, 1, 2)
+            return g_wq, g_wk, g_omega, g_phi, *_time2vec_backward(tq, slope_q, g_emb_q)
 
-        tape.record(result, (queries, omega, phi), backward, "segment_time_attention")
+        # the bank is read twice, by the keys and by the queries: the tape adds
+        # the two shares in that order, into its own gradient or a caller's
+        tape.record(result, (w_query, w_key, omega, phi, omega, phi), backward, "segment_time_attention")
     return result
 
 
@@ -522,33 +521,6 @@ def sigmoid(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)  # backward reads the output, which the next op usually keeps anyway
     return _unary(x, out, lambda g: (g * (out > 0.0),), "relu")
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
-    a_t = isinstance(a, Tensor)
-    b_t = isinstance(b, Tensor)
-    av = a.data if a_t else _as_const(a)
-    bv = b.data if b_t else _as_const(b)
-    if av.ndim < 2 or bv.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {av.shape} and {bv.shape}")
-    if av.shape[-1] != bv.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {av.shape} x {bv.shape}")
-    out = Tensor(av @ bv)
-    tape = _active_tape()
-    if tape is not None and (a_t or b_t):
-        inputs = tuple(t for t, is_t in ((a, a_t), (b, b_t)) if is_t)
-
-        def backward(g: np.ndarray):
-            grads = []
-            if a_t:
-                grads.append(_reduce_to(g @ np.swapaxes(bv, -1, -2), av.shape))
-            if b_t:
-                grads.append(_reduce_to(np.swapaxes(av, -1, -2) @ g, bv.shape))
-            return tuple(grads)
-
-        tape.record(out, inputs, backward, "matmul")
-    return out
 
 
 def linear(x, w: Tensor, b: Tensor) -> Tensor:

@@ -50,14 +50,12 @@ from mmists.tensor import (
     concat,
     layer_norm,
     linear,
-    matmul,
     neg,
     reduce_mean,
     relu,
     reshape,
     segment_time_attention,
     sigmoid,
-    time_embedding,
     transpose,
 )
 import conftest
@@ -192,9 +190,6 @@ def _grad_suite_ops(rng: np.random.Generator) -> float:
     y = Tensor(rng.normal(size=(3, 4)))
     row = Tensor(rng.normal(size=(4,)))
     check({"x": x, "y": y, "row": row}, lambda: reduce_sum((x + row) * y - x / 2.5 + neg(y)))
-    a = Tensor(rng.normal(size=(2, 3, 4)))
-    b = Tensor(rng.normal(size=(4, 5)))
-    check({"a": a, "b": b}, lambda: reduce_sum(matmul(a, b) * 0.7))
     check({"x": x, "y": y}, lambda: reduce_sum(sin(x) * sigmoid(y)))
     z = Tensor(rng.normal(size=(3, 4)) + np.where(rng.random((3, 4)) < 0.5, -0.6, 0.6))
     check({"z": z, "y": y}, lambda: reduce_sum(relu(z) * y))
@@ -202,11 +197,8 @@ def _grad_suite_ops(rng: np.random.Generator) -> float:
     check({"x": x, "v": v}, lambda: reduce_sum(reduce_mean(x, axis=0, keepdims=True) * v))
     cat_w = np.linspace(-1.0, 1.0, 24).reshape(3, 8)  # no draw: later inputs stay as they were
     check({"x": x, "y": y}, lambda: reduce_sum(concat([x, y], axis=1) * cat_w))
-    w = Tensor(rng.normal(size=(4, 3)))
-    check(
-        {"x": x, "w": w},
-        lambda: reduce_sum(matmul(transpose(reshape(x, (4, 3)), (1, 0)), w)),
-    )
+    w = rng.normal(size=(3, 4))
+    check({"x": x}, lambda: reduce_sum(transpose(reshape(x, (4, 3)), (1, 0)) * w))
     gain = Tensor(rng.normal(size=(4,)) * 0.1 + 1.0)
     bias = Tensor(rng.normal(size=(4,)) * 0.1)
     check(
@@ -237,30 +229,30 @@ def _grad_suite_ops(rng: np.random.Generator) -> float:
         {"att_q": att_q, "att_k": att_k, "att_v": att_v},
         lambda: reduce_sum(sin(attention(att_q, att_k, att_v, 2, key_mask)) * att_w),
     )
-    omega = Tensor(rng.normal(size=(2, 4)) * 3.0)
-    phi = Tensor(rng.normal(size=(2, 4)))
-    times = rng.random(5)
-    emb_w = rng.normal(size=(2, 5, 4))
-    check(
-        {"omega": omega, "phi": phi},
-        lambda: reduce_sum(time_embedding(times, omega, phi) * emb_w),
-    )
     logits = Tensor(rng.normal(size=(4,)))
     targets = np.array([1.0, 0.0, 1.0, 0.0])
     check({"logits": logits}, lambda: bce_with_logits(logits, targets))
     check({"logits": logits}, lambda: bce_with_logits(logits, targets, pos_weight=2.0))
-    seg_q = Tensor(rng.normal(size=(2, 3, 4)))
-    seg_times = rng.random(6)
+    seg_w_query = Tensor(rng.normal(size=(2, 4, 4)))
+    seg_w_key = Tensor(rng.normal(size=(2, 4, 4)))
+    omega = Tensor(rng.normal(size=(2, 4)) * 3.0)
+    phi = Tensor(rng.normal(size=(2, 4)))
+    query_times, seg_times = rng.random(3), rng.random(6)
     segments = np.array([0, 0, 2, 2, 2, 3])  # segments 1 and 4: no key
     seg_values = rng.normal(size=(6, 2))
-    # phi's linear column has gradient exactly 0 (it shifts every score of a
-    # segment alike); small weights keep the central differences' rounding
-    # there under relative_error's 1e-6 floor
+    # the keys' share of phi's linear column is exactly 0 (it shifts every
+    # score of a segment alike); small weights keep the central differences'
+    # rounding there under relative_error's 1e-6 floor
     seg_w = rng.normal(size=(2, 3, 5, 2)) * 0.1
     check(
-        {"seg_q": seg_q, "omega": omega, "phi": phi},
+        {"w_query": seg_w_query, "w_key": seg_w_key, "omega": omega, "phi": phi},
         lambda: reduce_sum(
-            sin(segment_time_attention(seg_q, seg_times, omega, phi, segments, 5, seg_values)) * seg_w
+            sin(
+                segment_time_attention(
+                    query_times, seg_w_query, seg_w_key, seg_times, omega, phi, segments, 5, seg_values
+                )
+            )
+            * seg_w
         ),
     )
     return worst

@@ -322,6 +322,21 @@ def test_duplicate_or_non_string_episode_id_exits_3(tmp_path, dataset, trained_c
         assert "field 'id'" in _one_line_error(capsys, "data error: line ")
 
 
+def test_null_note_text_or_boolean_value_exits_3(tmp_path, dataset, trained_checkpoint, capsys):
+    _, _, test_path = dataset
+    lines = test_path.read_text(encoding="utf-8").splitlines()
+    for field, key, bad in [("notes", "notes", [{"t": 1.0, "text": None}]),
+                            ("ts", "ts", [{"f": 0, "t": 1.0, "v": True}])]:
+        record = json.loads(lines[1])
+        record[key] = bad
+        data = tmp_path / f"{field}.jsonl"
+        data.write_text("\n".join([lines[0], json.dumps(record)]) + "\n", encoding="utf-8")
+        rc = main(["predict", "--checkpoint", str(trained_checkpoint), "--data", str(data),
+                   "--out", str(tmp_path / "pred.jsonl")])
+        assert rc == 3
+        assert f"line 2: field '{field}'" in _one_line_error(capsys, "data error: ")
+
+
 def test_corrupt_checkpoint_exits_3(tmp_path, dataset):
     _, _, test_path = dataset
     bad = tmp_path / "bad.ckpt"

@@ -196,6 +196,30 @@ class TestLoad:
         with pytest.raises(DataError, match=f"line 1: field '{field}'"):
             load_episodes(p, TaskSchema(n_features=2, n_classes=1, text_dim=4))
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"notes": [{"t": 1.0, "text": None}]}, "notes"),
+            ({"notes": [{"t": 1.0, "text": {"k": 1}}]}, "notes"),
+            ({"notes": [{"t": 1.0, "text": 7}]}, "notes"),
+            ({"ts": [{"f": True, "t": 1.0, "v": 0.0}]}, "ts"),
+            ({"ts": [{"f": 0, "t": False, "v": 0.0}]}, "ts"),
+            ({"ts": [{"f": 0, "t": 1.0, "v": True}]}, "ts"),
+            ({"ts": [{"f": 0, "t": "1.0", "v": 0.0}]}, "ts"),
+            ({"notes": [{"t": True, "text": "x"}]}, "notes"),
+            ({"notes": [{"t": 1.0, "emb": [True, 0.0, 0.0, 0.0]}]}, "notes"),
+            ({"notes": [{"t": 1.0, "emb": ["1.5", 0.0, 0.0, 0.0]}]}, "notes"),
+            ({"y": [True]}, "y"),
+        ],
+    )
+    def test_booleans_strings_and_non_string_text_rejected(self, tmp_path, overrides, field):
+        """JSON true/false are not numbers, a quoted number is not one either,
+        and note text must be a string: none is coerced."""
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [make_record(id="e0"), make_record(**overrides)])
+        with pytest.raises(DataError, match=f"line 2: field '{field}'"):
+            load_episodes(p, TaskSchema(n_features=2, n_classes=1, text_dim=4))
+
     def test_bytes_that_are_not_utf8_rejected(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_bytes(json.dumps(make_record()).encode() + b"\n\xff\xfe{}\n")

@@ -501,3 +501,22 @@ class TestRowPruning:
         stack = {"fused": "fusion_layers", "ts": "ts_stack", "txt": "txt_stack"}[cfg.modality]
         last_layer = f"{stack}.{cfg.fusion_layers - 1}."
         assert any(np.any(g != 0.0) for k, g in pruned.items() if k.startswith(last_layer))
+
+
+class TestTapeStructure:
+    @pytest.mark.parametrize("modality, kernels", [("fused", 2), ("ts", 1), ("txt", 1)])
+    def test_each_mtand_stream_is_one_node_and_only_it_reads_the_bank(self, modality, kernels):
+        """A default-config group of 8: each mTAND stream (the grid's and the
+        keys' Time2Vec, both projections, the scores, the softmax and the
+        mix) records one ``segment_time_attention`` node, and no other node
+        reads the shared bank."""
+        config = RunConfig(seed=0, modality=modality)
+        episodes = generate_synthetic(GenConfig(n_episodes=8, task="xor_fusion", seed=5))
+        normed, stats = normalize(episodes, alpha_hours=config.alpha_hours, n_features=config.n_features)
+        group = collate([prepare_episode(ep, config, stats) for ep in normed])
+        params = init_model(config)
+        with Tape() as tape:
+            forward(group, params, config)
+        assert [node.op for node in tape.nodes].count("segment_time_attention") == kernels
+        bank = {tape.node_of(params.bank.omega), tape.node_of(params.bank.phi)}
+        assert {node.op for node in tape.nodes if bank & set(node.input_ids)} == {"segment_time_attention"}

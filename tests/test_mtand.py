@@ -13,17 +13,11 @@ from mmists.mtand import (
     mtand_ts,
     mtand_txt,
     pad_series,
-    time2vec_heads,
 )
-from mmists.tensor import (
-    Tape,
-    Tensor,
-    matmul,
-    reshape,
-    transpose,
-)
+from mmists import tensor
+from mmists.tensor import Tape, Tensor, segment_time_attention
 from gradcheck import reduce_sum
-from oracles import softmax_rows, time_attention_oracle
+from oracles import time_attention_oracle
 
 
 def head_vectors(times, omega, phi):
@@ -34,6 +28,11 @@ def head_vectors(times, omega, phi):
         for d in range(1, len(omega)):
             out[i, d] = np.sin(omega[d] * t + phi[d])
     return out
+
+
+def time2vec(times, bank):
+    """The shipped Time2Vec of ``times`` under every head of ``bank``: [V x n x d_v]."""
+    return tensor._time2vec(tensor._time2vec_rows(times), bank.omega.data, bank.phi.data)[0]
 
 
 def make_params(rng, v=2, d_v=5, d_in=1, d_h=4):
@@ -71,11 +70,11 @@ def head_interpolations(grid, key_times, values, params):
 
 class TestTime2Vec:
     def test_zero_parameters_give_zero_embedding(self):
-        out = time2vec_heads(np.array([0.3, 0.9]), one_head(np.zeros(4), np.zeros(4)))
-        assert_allclose(out.data, 0.0)
+        out = time2vec(np.array([0.3, 0.9]), one_head(np.zeros(4), np.zeros(4)))
+        assert_allclose(out, 0.0)
 
     def test_full_period_wraps_to_zero(self):
-        out = time2vec_heads(np.array([1.0]), one_head(np.full(4, 2.0 * np.pi), np.zeros(4))).data[0]
+        out = time2vec(np.array([1.0]), one_head(np.full(4, 2.0 * np.pi), np.zeros(4)))[0]
         assert out[0, 0] == pytest.approx(2.0 * np.pi)
         assert_allclose(out[0, 1:], 0.0, atol=1e-12)
 
@@ -84,16 +83,16 @@ class TestTime2Vec:
         omega = rng.normal(size=6)
         phi = rng.normal(size=6)
         times = rng.random(7)
-        out = time2vec_heads(times, one_head(omega, phi)).data[0]
+        out = time2vec(times, one_head(omega, phi))[0]
         assert_allclose(out, head_vectors(times, omega, phi), atol=1e-12)
 
     def test_banked_heads_match_per_head_op(self):
         rng = np.random.default_rng(31)
         bank = init_time2vec_bank(rng, 3, 5)
         times = rng.random(4)
-        all_heads = time2vec_heads(times, bank).data
+        all_heads = time2vec(times, bank)
         for v in range(3):
-            single = time2vec_heads(times, one_head(bank.omega.data[v], bank.phi.data[v])).data[0]
+            single = time2vec(times, one_head(bank.omega.data[v], bank.phi.data[v]))[0]
             assert_allclose(all_heads[v], single, atol=1e-12)
 
     def test_bank_init_ranges(self):
@@ -326,11 +325,13 @@ class TestPhaseShiftScoreIdentity:
     (time-carrying) dimension through."""
 
     def weights(self, bank_omega, bank_phi, w_q, w_k, q_times, k_times):
+        """One head's attention weights [a x l]: the kernel's mix of one-hot values."""
         bank = one_head(bank_omega, bank_phi)
-        q = matmul(reshape(time2vec_heads(q_times, bank), (len(q_times), len(bank_omega))), Tensor(w_q))
-        k = matmul(reshape(time2vec_heads(k_times, bank), (len(k_times), len(bank_omega))), Tensor(w_k))
-        scores = matmul(q, transpose(k, (1, 0))) * (len(bank_omega) ** -0.5)
-        return softmax_rows(scores.data)
+        l = len(k_times)
+        out = segment_time_attention(
+            q_times, Tensor(w_q[None]), Tensor(w_k[None]), k_times, bank.omega, bank.phi, np.zeros(l, int), 1, np.eye(l)
+        )
+        return out.data[0, :, 0, :]
 
     def test_shift_invariance_requires_zero_linear_key_weight(self):
         rng = np.random.default_rng(48)

@@ -15,7 +15,7 @@ from mmists.mtand import PaddedSeries, init_mtand_params, init_time2vec_bank, mt
 from mmists.model import RunConfig
 from mmists.tensor import ShapeError, Tape, Tensor, segment_time_attention
 
-from gradcheck import reduce_sum, sin
+from gradcheck import finite_difference_gradients, reduce_sum, relative_error, sin
 from oracles import time_attention_oracle
 from test_mtand import head_vectors
 from test_tensor import check_grads
@@ -37,18 +37,6 @@ def padded_group() -> PaddedSeries:
     times = rng.random(mask.shape)
     values = rng.normal(size=mask.shape)
     return PaddedSeries(times, values, mask)
-
-
-def grid_queries(grid, params) -> np.ndarray:
-    """((e_q W_q) W_k^T) / sqrt(d_v) per head, the kernel's queries."""
-    omega, phi = params.bank.omega.data, params.bank.phi.data
-    d_v = omega.shape[1]
-    return np.stack(
-        [
-            head_vectors(grid.points, omega[v], phi[v]) @ params.w_query.data[v] @ params.w_key.data[v].T
-            for v in range(omega.shape[0])
-        ]
-    ) * d_v**-0.5
 
 
 def per_head_oracle(grid, times, values, params) -> np.ndarray:
@@ -76,7 +64,9 @@ class TestAgainstOracle:
         n_series = s.mask.shape[0] * s.mask.shape[1]
         segments = np.nonzero(s.mask.reshape(n_series, -1))[0]
         out = segment_time_attention(
-            Tensor(grid_queries(grid, params)),
+            grid.points,
+            params.w_query,
+            params.w_key,
             s.times[s.mask],
             params.bank.omega,
             params.bank.phi,
@@ -120,63 +110,104 @@ class TestAgainstOracle:
 
 class TestKernel:
     def setup_case(self, seed=75):
+        """(rng, inputs): the kernel's arguments but its values, for 2 heads,
+        3 queries, d_v = 4 and 6 keys in 5 segments."""
         rng = np.random.default_rng(seed)
-        queries = Tensor(rng.normal(size=(2, 3, 4)))
-        omega = Tensor(rng.normal(size=(2, 4)) * 3.0)
-        phi = Tensor(rng.normal(size=(2, 4)))
-        times = rng.random(6)
-        segments = np.array([0, 0, 2, 2, 2, 3])  # segments 1 and 4 have no keys
-        return rng, queries, omega, phi, times, segments
+        inputs = dict(
+            query_times=rng.random(3),
+            w_query=Tensor(rng.normal(size=(2, 4, 4))),
+            w_key=Tensor(rng.normal(size=(2, 4, 4))),
+            key_times=rng.random(6),
+            omega=Tensor(rng.normal(size=(2, 4)) * 3.0),
+            phi=Tensor(rng.normal(size=(2, 4))),
+            segments=np.array([0, 0, 2, 2, 2, 3]),  # segments 1 and 4 have no keys
+            n_segments=5,
+        )
+        return rng, inputs
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_gradients_match_central_differences(self, width):
-        rng, queries, omega, phi, times, segments = self.setup_case()
+        rng, inputs = self.setup_case()
         values = rng.normal(size=(6, width))
-        w = rng.normal(size=(2, 3, 5, width)) * 0.1  # see criterion 01: phi[:, 0] has gradient 0
+        w = rng.normal(size=(2, 3, 5, width)) * 0.1  # see criterion 01: the keys' share of phi[:, 0] is 0
         check_grads(
-            lambda: reduce_sum(sin(segment_time_attention(queries, times, omega, phi, segments, 5, values)) * w),
-            {"queries": queries, "omega": omega, "phi": phi},
+            lambda: reduce_sum(sin(segment_time_attention(**inputs, values=values)) * w),
+            {name: inputs[name] for name in ("w_query", "w_key", "omega", "phi")},
         )
 
+    def test_bank_gradient_is_the_keys_share_then_the_queries(self):
+        """The node returns the bank gradient as two shares, the keys' and
+        then the queries'. The queries' share matches central differences of
+        the per-head oracle with only the queries' omega/phi moved."""
+        rng, inputs = self.setup_case(77)
+        values = rng.normal(size=(6, 1))
+        g = rng.normal(size=(2, 3, 5, 1))
+        with Tape() as tape:
+            out = segment_time_attention(**inputs, values=values)
+            g_omega_q, g_phi_q = tape.nodes[tape.node_of(out)].backward(g)[4:]
+        omega, phi = inputs["omega"].data, inputs["phi"].data
+        w_q, w_k, segments = inputs["w_query"].data, inputs["w_key"].data, inputs["segments"]
+        query_bank = {"omega": Tensor(omega.copy()), "phi": Tensor(phi.copy())}
+
+        def loss() -> float:  # sum(out * g), the queries embedded under query_bank
+            total = 0.0
+            for v in range(2):
+                q_emb = head_vectors(inputs["query_times"], query_bank["omega"].data[v], query_bank["phi"].data[v])
+                for s in range(5):
+                    own = segments == s
+                    k_emb = head_vectors(inputs["key_times"][own], omega[v], phi[v])
+                    total += np.sum(time_attention_oracle(q_emb, k_emb, values[own], w_q[v], w_k[v]) * g[v, :, s])
+            return total
+
+        numeric = finite_difference_gradients(loss, query_bank)
+        assert relative_error(g_omega_q, numeric["omega"]) < 1e-4
+        assert relative_error(g_phi_q, numeric["phi"]) < 1e-4
+
     def test_segments_without_keys_give_zero_rows(self):
-        rng, queries, omega, phi, times, segments = self.setup_case()
-        out = segment_time_attention(queries, times, omega, phi, segments, 5, rng.normal(size=6)).data
+        rng, inputs = self.setup_case()
+        out = segment_time_attention(**inputs, values=rng.normal(size=6)).data
         assert out.shape == (2, 3, 5, 1)
         assert np.all(out[:, :, [1, 4]] == 0.0)
         assert np.all(out[:, :, [0, 2, 3]] != 0.0)
 
     def test_no_keys_gives_zeros(self):
-        _, queries, omega, phi, _, _ = self.setup_case()
-        out = segment_time_attention(queries, np.zeros(0), omega, phi, np.zeros(0, int), 3, np.zeros((0, 2)))
+        _, inputs = self.setup_case()
+        inputs.update(key_times=np.zeros(0), segments=np.zeros(0, int), n_segments=3)
+        with Tape() as tape:
+            out = segment_time_attention(**inputs, values=np.zeros((0, 2)))
         assert out.shape == (2, 3, 3, 2) and not out.data.any()
+        assert not tape.nodes  # a constant: nothing to differentiate
 
     def test_bad_segments_rejected(self):
-        _, queries, omega, phi, times, _ = self.setup_case()
+        _, inputs = self.setup_case()
         values = np.ones(6)
-        with pytest.raises(ValueError):
-            segment_time_attention(queries, times, omega, phi, [0, 1, 0, 1, 2, 2], 3, values)
-        with pytest.raises(ValueError):
-            segment_time_attention(queries, times, omega, phi, [0, 0, 1, 1, 2, 3], 3, values)
+        for segments, n_segments in (([0, 1, 0, 1, 2, 2], 3), ([0, 0, 1, 1, 2, 3], 3)):
+            with pytest.raises(ValueError):
+                segment_time_attention(**{**inputs, "segments": segments, "n_segments": n_segments}, values=values)
         with pytest.raises(ShapeError):
-            segment_time_attention(queries, times, omega, phi, [0, 0, 1], 3, values)
+            segment_time_attention(**{**inputs, "segments": [0, 0, 1]}, values=values)
         with pytest.raises(ShapeError):
-            segment_time_attention(queries, times, phi, Tensor(np.ones((3, 4))), [0] * 6, 1, values)
+            segment_time_attention(**{**inputs, "phi": Tensor(np.ones((3, 4)))}, values=values)
+        with pytest.raises(ShapeError):
+            segment_time_attention(**{**inputs, "w_key": Tensor(np.ones((2, 4, 3)))}, values=values)
 
     def test_taped_call_keeps_one_key_sized_array(self):
         """At the default config's V, d_v and alpha, a taped call keeps the
-        weights [V x n x a], its output and one [V x n x d_v] array (the
-        Time2Vec tangents), not the keys and the slope as well."""
+        weights [V x n x a], its output and one [V x n x d_v] array (the keys'
+        Time2Vec tangents), not the keys and the slope as well; what it keeps
+        of the a grid queries is under half of that at n = 200."""
         config = RunConfig()
         v, d_v, a, n = config.time_heads, config.d_timeembed, config.alpha, 200
         rng = np.random.default_rng(76)
-        queries = Tensor(rng.normal(size=(v, a, d_v)))
+        w_query, w_key = Tensor(rng.normal(size=(v, d_v, d_v))), Tensor(rng.normal(size=(v, d_v, d_v)))
         omega, phi = Tensor(rng.normal(size=(v, d_v))), Tensor(rng.normal(size=(v, d_v)))
         times, values = np.sort(rng.random(n)), rng.normal(size=n)
         segments = np.repeat(np.arange(4), n // 4)
+        grid = ReferenceGrid(a).points
         tracemalloc.start()
         try:
             with Tape():
-                out = segment_time_attention(queries, times, omega, phi, segments, 4, values)
+                out = segment_time_attention(grid, w_query, w_key, times, omega, phi, segments, 4, values)
                 held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -186,7 +217,7 @@ class TestKernel:
 
 @st.composite
 def segment_cases(draw):
-    """(queries, omega, phi, times, segments, n_segments, values)."""
+    """The kernel's arguments, values included."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v, a, d_v = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
     n_segments = draw(st.integers(1, 6))
@@ -194,26 +225,26 @@ def segment_cases(draw):
     segments = np.repeat(np.arange(n_segments), counts)
     c = draw(st.integers(1, 3))
     scale = draw(st.sampled_from([1.0, 10.0]))  # 10: near one-hot softmax rows
-    return (
-        rng.normal(size=(v, a, d_v)) * scale,
-        rng.normal(size=(v, d_v)) * 5.0,
-        rng.normal(size=(v, d_v)),
-        rng.random(segments.size),
-        segments,
-        n_segments,
-        rng.normal(size=(segments.size, c)),
+    return dict(
+        query_times=rng.random(a),
+        w_query=Tensor(rng.normal(size=(v, d_v, d_v)) * scale),
+        w_key=Tensor(rng.normal(size=(v, d_v, d_v))),
+        key_times=rng.random(segments.size),
+        omega=Tensor(rng.normal(size=(v, d_v)) * 5.0),
+        phi=Tensor(rng.normal(size=(v, d_v))),
+        segments=segments,
+        n_segments=n_segments,
+        values=rng.normal(size=(segments.size, c)),
     )
 
 
 @settings(max_examples=200, deadline=None)
 @given(segment_cases())
 def test_rows_are_convex_combinations_of_their_own_segment(case):
-    q, omega, phi, times, segments, n_segments, values = case
-    out = segment_time_attention(Tensor(q), times, Tensor(omega), Tensor(phi), segments, n_segments, values).data
-    ones = segment_time_attention(
-        Tensor(q), times, Tensor(omega), Tensor(phi), segments, n_segments, np.ones(segments.size)
-    ).data
-    for s in range(n_segments):
+    out = segment_time_attention(**case).data
+    ones = segment_time_attention(**{**case, "values": np.ones(case["segments"].size)}).data
+    segments, values = case["segments"], case["values"]
+    for s in range(case["n_segments"]):
         own = values[segments == s]
         if own.size == 0:
             assert np.all(out[:, :, s] == 0.0)

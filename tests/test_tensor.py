@@ -23,12 +23,10 @@ from mmists.tensor import (
     gather_rows,
     layer_norm,
     linear,
-    matmul,
     reduce_mean,
     relu,
     reshape,
     sigmoid,
-    time_embedding,
     transpose,
 )
 from gradcheck import finite_difference_gradients, reduce_sum, relative_error, sin
@@ -60,20 +58,6 @@ class TestForward:
         assert_allclose((ta * 2.5).data, a * 2.5)
         assert_allclose((1.0 - ta).data, 1.0 - a)
         assert_allclose((ta / 2.0).data, a / 2.0)
-
-    def test_matmul_batched_broadcast(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(5, 3, 4))
-        b = rng.normal(size=(4, 2))
-        out = matmul(Tensor(a), Tensor(b))
-        assert out.shape == (5, 3, 2)
-        assert_allclose(out.data, a @ b)
-
-    def test_matmul_shape_error(self):
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
     def test_sigmoid_extremes_are_stable(self):
         x = Tensor(np.array([-800.0, -30.0, 0.0, 30.0, 800.0]))
@@ -177,18 +161,6 @@ class TestBackward:
         c = Tensor(rng.normal(size=(3, 1)))
         check_grads(lambda: reduce_sum(mul_chain(a, b, c)), {"a": a, "b": b, "c": c})
 
-    def test_matmul_2d(self):
-        rng = np.random.default_rng(11)
-        a = Tensor(rng.normal(size=(3, 4)))
-        b = Tensor(rng.normal(size=(4, 2)))
-        check_grads(lambda: reduce_sum(sin(matmul(a, b))), {"a": a, "b": b})
-
-    def test_matmul_batched_with_broadcast_rhs(self):
-        rng = np.random.default_rng(12)
-        a = Tensor(rng.normal(size=(5, 3, 4)))
-        b = Tensor(rng.normal(size=(4, 2)))
-        check_grads(lambda: reduce_sum(matmul(a, b) * 0.3), {"a": a, "b": b})
-
     def test_linear_folds_leading_rows_into_one_product(self):
         rng = np.random.default_rng(14)
         a = Tensor(rng.normal(size=(2, 3, 4)))
@@ -237,24 +209,31 @@ class TestBackward:
         with pytest.raises(ShapeError):
             attention(x, Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), 2)
 
-    def test_time_embedding_matches_per_head_loop(self):
+    def test_time2vec_matches_per_head_loop(self):
         rng = np.random.default_rng(24)
         omega = rng.normal(size=(3, 5))
         phi = rng.normal(size=(3, 5))
         times = rng.random(4)
-        got = time_embedding(times, Tensor(omega), Tensor(phi)).data
+        got, kept = T._time2vec(T._time2vec_rows(times), omega, phi)
+        assert kept is None
         for v in range(3):
             want = times[:, None] * omega[v] + phi[v]
             want[:, 1:] = np.sin(want[:, 1:])
             assert_allclose(got[v], want, rtol=1e-13, atol=1e-15)
 
-    def test_time_embedding_grads(self):
+    def test_time2vec_backward_matches_central_differences(self):
         rng = np.random.default_rng(25)
         omega = Tensor(rng.normal(size=(2, 4)) * 3.0)
         phi = Tensor(rng.normal(size=(2, 4)))
-        times = rng.random(5)
+        rows = T._time2vec_rows(rng.random(5))
         w = rng.normal(size=(2, 5, 4))
-        check_grads(lambda: reduce_sum(time_embedding(times, omega, phi) * w), {"omega": omega, "phi": phi})
+        _, kept = T._time2vec(rows, omega.data, phi.data, keep=True)
+        analytic = T._time2vec_backward(rows, T._time2vec_rebuild(kept)[1], w)
+        numeric = finite_difference_gradients(
+            lambda: float(np.sum(T._time2vec(rows, omega.data, phi.data)[0] * w)), {"omega": omega, "phi": phi}
+        )
+        for name, got in zip(("omega", "phi"), analytic):
+            assert relative_error(got, numeric[name]) < 1e-4, name
 
     def test_transpose_and_gather_rows(self):
         rng = np.random.default_rng(15)
@@ -399,13 +378,14 @@ class TestBackward:
         x = Tensor(rng.normal(size=(3, 4)))
         w = Tensor(rng.normal(size=(4, 4)))
         gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
+        b = Tensor(rng.normal(size=4))
 
         def build():
-            h = layer_norm(matmul(x, w) + x, gain, bias)
+            h = layer_norm(linear(x, w, b) + x, gain, bias)
             return h, reduce_sum(sigmoid(h) * h + h)
 
         # reference: the same reverse sweep, keeping every gradient and closure
-        leaves = {"x": x, "w": w, "gain": gain, "bias": bias}
+        leaves = {"x": x, "w": w, "b": b, "gain": gain, "bias": bias}
         with Tape() as ref:
             _, loss = build()
         leaf_ids = {name: ref.node_of(t) for name, t in leaves.items()}
@@ -543,12 +523,13 @@ class TestBackward:
         k = Tensor(rng.normal(size=(5, 6)))
         v = Tensor(rng.normal(size=(5, 6)))
         w = Tensor(rng.normal(size=(6, 3)))
+        b = Tensor(rng.normal(size=3))
         mask = np.array([True, True, False, True, True])
 
         def loss():
-            return reduce_mean(sin(matmul(attention(q, k, v, 2, mask), w)))
+            return reduce_mean(sin(linear(attention(q, k, v, 2, mask), w, b)))
 
-        check_grads(loss, {"q": q, "k": k, "v": v, "w": w})
+        check_grads(loss, {"q": q, "k": k, "v": v, "w": w, "b": b})
 
 
 def mul_chain(a, b, c):

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmists import data, model, tensor
-from mmists.tensor import Tape, Tensor, bce_with_logits, time_embedding
+from mmists.tensor import Tape, Tensor, bce_with_logits, segment_time_attention
 
 from gradcheck import reduce_sum
 
@@ -85,21 +85,34 @@ def test_embedding_slope_and_gradient_match_sin_cos(values, g_values):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(angles, min_size=2, max_size=16), st.floats(-1.0, 1.0, allow_nan=False))
-def test_time_embedding_op_gradient_matches_cos(values, weight):
-    """The same through the tape op: d sum(w * emb) / d omega is w * cos."""
-    rows, omega_d, _ = _angle_rows(values)
+def test_kernel_bank_gradient_matches_cos(values, weight):
+    """The same through the tape, in ``segment_time_attention``: a query at
+    t = 1 attends to keys at t = 0 and t = 1 under one head, so the query and
+    the second key have the periodic angles ``values`` (the linear one is set
+    to 0.5, which keeps the softmax off saturation). Its omega and phi
+    gradients, both shares, equal those from slopes recomputed with np.cos."""
+    _, omega_d, _ = _angle_rows(values)
+    omega_d[0, 0] = 0.5
     omega, phi = Tensor(omega_d), Tensor(np.zeros_like(omega_d))
+    d_v = omega_d.shape[1]
+    w_query, w_key = Tensor(np.eye(d_v)[None]), Tensor(np.eye(d_v)[None])
+
+    def gradients():
+        with Tape() as tape:
+            out = segment_time_attention([1.0], w_query, w_key, [0.0, 1.0], omega, phi, [0, 0], 1, [0.0, 1.0])
+            tape.backward(reduce_sum(out * weight))
+        return tape.grad(omega), tape.grad(phi)
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with Tape() as tape:
-            emb = time_embedding([1.0], omega, phi)
-            tape.backward(reduce_sum(emb * weight))
+        kept = gradients()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    theta = omega_d[0]
-    assert np.max(np.abs(emb.data[0, 0, 1:] - np.sin(theta[1:]))) <= BOUND
-    want = weight * np.r_[1.0, np.cos(theta[1:])]
-    assert np.max(np.abs(tape.grad(omega)[0] - want)) <= BOUND
-    assert np.max(np.abs(tape.grad(phi)[0] - want)) <= BOUND
+    with pytest.MonkeyPatch.context() as patch:
+        pending, rebuilt = _patch_cos_reference(patch)
+        recomputed = gradients()
+    assert len(rebuilt) == 2 and not pending  # the query's slope and the keys'
+    for got, want in zip(kept, recomputed):
+        assert np.max(np.abs(got - want)) <= BOUND
 
 
 def test_poles_give_exact_limits():
@@ -168,9 +181,9 @@ def _group_gradients(config, group, params):
 
 @pytest.mark.parametrize("modality", ["fused", "ts"])
 def test_kept_slope_gradients_equal_recompute_reference(monkeypatch, modality):
-    """Every parameter gradient of a default-config group of 8 (both
-    ``time_embedding`` of the grid and ``segment_time_attention`` of the
-    keys on the path) equals the gradient from recomputed angles."""
+    """Every parameter gradient of a default-config group of 8 (the
+    ``segment_time_attention`` of each mTAND stream on the path, which embeds
+    both the grid and the keys) equals the gradient from recomputed angles."""
     config = model.RunConfig(seed=0, modality=modality, ts_embed="utde")
     episodes = data.generate_synthetic(data.GenConfig(n_episodes=8, task="xor_fusion", seed=5))
     normed, stats = data.normalize(episodes, alpha_hours=config.alpha_hours, n_features=config.n_features)
@@ -180,9 +193,9 @@ def test_kept_slope_gradients_equal_recompute_reference(monkeypatch, modality):
     kept = _group_gradients(config, group, params)
     pending, rebuilt = _patch_cos_reference(monkeypatch)
     recomputed = _group_gradients(config, group, params)
-    # the grid's slope and the observation keys' (and the note keys', when
-    # fused), each from np.cos
-    assert len(rebuilt) == (3 if modality == "fused" else 2) and not pending
+    # the grid's slope and the observation keys' (and, when fused, the grid's
+    # and the note keys' again), each from np.cos
+    assert len(rebuilt) == (4 if modality == "fused" else 2) and not pending
 
     assert np.any(kept["bank.omega"] != 0.0)
     for name, g in kept.items():
