@@ -13,15 +13,29 @@ snapshot is taken only before a step would change it: one copy of the
 parameter buffer when an epoch >= 1 leads, and none while the initialization
 (epoch 0) leads, since ``init_model(config)`` redraws it bit for bit from the
 seed once training ends.
+
+Allocator policy (glibc only, process-wide): ``train`` first fixes glibc's
+malloc thresholds, once per process, through ``mallopt``. Blocks of
+MMAP_THRESHOLD and up (the parameter buffer, its gradient, Adam's moments,
+checkpoint buffers) get their own mappings and go back to the kernel when
+freed, so they leave no hole in the heap; every tape activation is served
+from the heap, which keeps up to TRIM_THRESHOLD of freed top pages resident,
+so the next group reuses the pages the last group's backward freed instead of
+faulting them in again. Fixing either value also stops glibc's dynamic
+threshold from rising with the largest mapped block freed so far. Elsewhere
+the call is a no-op; no arithmetic depends on it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import json
 import logging
 import math
 import os
+import platform
 import zlib
 from dataclasses import dataclass
 
@@ -58,13 +72,34 @@ __all__ = [
 
 _SHUFFLE_TAG = 3001  # keeps the shuffle stream disjoint from init/generator streams
 
-# Episodes per tape, in training and scoring: the largest power of two whose
-# training peak RSS stays at or below that of the previous release (groups of
-# 4 with unfused ops). At the default architecture a group of 8 holds about
-# 15 MB of tape activations, 1.9 MB per episode (unfused ops held 2.7 MB).
-# Fused benchmark training run, 25 s, seeds 105-107, 1 BLAS thread: peak RSS
-# 94.7-94.9 MB at 8 and 111.1-111.4 MB at 16, against 99.3-99.5 MB for the
-# previous release.
+# glibc mallopt(3) parameters and the values train sets. 4 MiB is also where
+# numpy starts to madvise huge pages; the largest tape activation of a default
+# group is about 1 MB, a default fused parameter buffer 4.4 MB.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 4 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+@functools.cache
+def _fix_allocator() -> bool:
+    """Set glibc's mmap and trim thresholds, once per process; False off glibc
+    or if glibc refuses a value."""
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    trim_set = mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    return bool(mmap_set and trim_set)
+
+
+# Episodes per tape, in training and scoring. A larger group raises the
+# training peak by its tape (a default fused group of 8 holds about 14 MB of
+# activations) without training faster: benchmark train_fused, 20 s, seeds
+# 105-107, 1 BLAS thread, read a peak RSS of 80.1-80.2 MB at 8 and
+# 94.3-94.6 MB at 16, with episodes/s within the host's noise.
 GROUP_SIZE = 8
 
 
@@ -222,7 +257,12 @@ def train(
     it; if it is still best after a step, its buffer is redrawn once from the
     seed at the end. Optional trace lists collect per-batch mean losses and
     the per-epoch validation metric for inspection.
+
+    On glibc, the first call in a process fixes the allocator's thresholds
+    for the whole process (see the module docstring); results do not depend
+    on it.
     """
+    _fix_allocator()
     config.validate()
     if not train_episodes or not val_episodes:
         raise DataError("training needs non-empty train and validation splits")

@@ -211,23 +211,28 @@ class ModelParams:
         appear once, under their first name."""
         out: dict[str, Tensor] = {}
         seen: set[int] = set()
-
-        def walk(obj, prefix: str):
-            if isinstance(obj, Tensor):
-                if id(obj) not in seen:
-                    seen.add(id(obj))
-                    out[prefix] = obj
-            elif dataclasses.is_dataclass(obj):
-                for f in dataclasses.fields(obj):
-                    value = getattr(obj, f.name)
-                    if isinstance(value, (Tensor, list)) or dataclasses.is_dataclass(value):
-                        walk(value, f"{prefix}.{f.name}" if prefix else f.name)
-            elif isinstance(obj, list):
-                for i, item in enumerate(obj):
-                    walk(item, f"{prefix}.{i}")
-
-        walk(self, "")
+        for name, t in _walk(self, ""):
+            if id(t) not in seen:
+                seen.add(id(t))
+                out[name] = t
         return out
+
+
+def _walk(obj, prefix: str):
+    """(name, Tensor) of every tensor under ``obj``, depth first in field order.
+    A module function because a closure that calls itself is a reference
+    cycle: it would keep flat()'s map, and with it the parameter buffer, alive
+    until the cyclic collector runs."""
+    if isinstance(obj, Tensor):
+        yield prefix, obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, (Tensor, list)) or dataclasses.is_dataclass(value):
+                yield from _walk(value, f"{prefix}.{f.name}" if prefix else f.name)
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _walk(item, f"{prefix}.{i}")
 
 
 _COMPONENT_IDS = {

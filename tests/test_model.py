@@ -1,6 +1,7 @@
 """Model assembly: config validation, seeded init, preparation, forward variants."""
 
 import dataclasses
+import gc
 import itertools
 
 import numpy as np
@@ -118,6 +119,18 @@ class TestInit:
         bank_names = [k for k in flat if flat[k] is params.bank.omega]
         assert bank_names == ["bank.omega"]
         assert "ts_interp.bank.omega" not in flat
+
+    def test_flat_leaves_no_reference_cycle(self):
+        # a cycle would keep the map's tensors, and so the parameter buffer,
+        # alive after the caller drops them, until the next cyclic collection
+        params = init_model(small_config())
+        gc.collect()
+        gc.disable()
+        try:
+            params.flat()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_component_init_is_independent_of_other_components(self):
         # growing the fusion stack must not disturb the shared embedding branches
