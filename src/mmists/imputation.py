@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Episode, NormalizationStats, group_by_feature
+from .data import DataError, NormalizationStats
 from .tensor import Tensor, causal_conv1d
 
-__all__ = ["ReferenceGrid", "DiscretizedSeries", "discretize", "bin_series", "impute", "conv_embed"]
+__all__ = ["ReferenceGrid", "DiscretizedSeries", "bin_series", "impute", "conv_embed"]
 
 
 @dataclass(frozen=True)
@@ -36,20 +36,15 @@ class DiscretizedSeries:
     observed_mask: np.ndarray  # bool [alpha x d_m]
 
 
-def discretize(ep: Episode, grid: ReferenceGrid, n_features: int) -> DiscretizedSeries:
-    """Bin observations into half-open intervals [b/alpha, (b+1)/alpha).
+def bin_series(
+    series: list[tuple[np.ndarray, np.ndarray]], grid: ReferenceGrid, episode_id: str
+) -> DiscretizedSeries:
+    """Bin the per-feature (times, values) series that ``group_by_feature``
+    gives into half-open intervals [b/alpha, (b+1)/alpha).
 
     Each (feature, bin) keeps its latest observation; identical timestamps
     resolve to the later input-list entry. Empty bins are flagged missing.
     """
-    return bin_series(group_by_feature(ep, n_features), grid, ep.episode_id)
-
-
-def bin_series(
-    series: list[tuple[np.ndarray, np.ndarray]], grid: ReferenceGrid, episode_id: str
-) -> DiscretizedSeries:
-    """``discretize`` of the per-feature (times, values) series that
-    ``group_by_feature`` gives, for a caller that has them already."""
     alpha = grid.n_points
     values = np.zeros((alpha, len(series)))
     mask = np.zeros((alpha, len(series)), dtype=bool)

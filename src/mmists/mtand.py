@@ -6,25 +6,25 @@ time-embedding bank (the same parameter tensors), while their projection
 weights stay separate.
 
 Only valid keys are embedded and scored: padding slots never enter the
-computation. Each series is one segment of the valid keys (one feature of one
-episode for ``mtand_ts``, one episode's notes for ``mtand_txt``), and every
-grid query takes its softmax within each segment. Each call is one
+computation. Each series (one feature of one episode for ``mtand_ts``, one
+episode's notes for ``mtand_txt``) is a row of the padded keys and their mask,
+and every grid query takes its softmax within each series. Each call is one
 ``segment_time_attention`` tape node, from the grid times to the mixed
 values: the kernel embeds the grid queries and the keys with ``tensor``'s
-Time2Vec helper, projects the queries, scores, normalizes and mixes. The
-heads' outputs are then concatenated per grid row and projected.
+Time2Vec helper, projects the queries, scores, normalizes and mixes. It
+writes each grid row's head outputs already concatenated, so one ``linear``
+projects them.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .imputation import ReferenceGrid
-from .tensor import Tensor, linear, reshape, segment_time_attention, transpose
+from .tensor import Tensor, linear, segment_time_attention
 
 __all__ = [
     "Time2VecBank",
@@ -118,48 +118,20 @@ def init_mtand_params(
     )
 
 
-def _interpolate(
-    key_times: np.ndarray, key_mask: np.ndarray, values: np.ndarray, grid: ReferenceGrid, params: MtandParams
-) -> Tensor:
-    """Every head's interpolation of every series onto the grid: [V x alpha x S x c].
-
-    ``key_times`` and ``key_mask`` are [... x L], one series per leading
-    index (S of them); ``values`` [... x L x c] or [... x L] (c = 1) are the
-    keys' values. Only the valid keys are embedded and scored, each grid
-    query takes its softmax over each series' own keys, and a series without
-    keys gives zeros.
-    """
-    n_series = math.prod(key_mask.shape[:-1])
-    series = np.nonzero(key_mask.reshape(n_series, -1))[0]  # each valid key's series, nondecreasing
-    bank = params.bank
-    return segment_time_attention(
-        grid.points, params.w_query, params.w_key, key_times[key_mask], bank.omega, bank.phi,
-        series, n_series, values[key_mask],
-    )
-
-
-def _project_heads(mixed: Tensor, lead: tuple[int, ...], params: MtandParams) -> Tensor:
-    """[V x alpha x S x c], S * c = prod(lead) * k -> each grid row's head
-    outputs concatenated -> [*lead x alpha x d_h]."""
-    v, alpha = mixed.shape[:2]
-    per_head = (v, alpha, *lead, mixed.size // (v * alpha * math.prod(lead)))
-    if mixed.shape != per_head:
-        mixed = reshape(mixed, per_head)
-    n = len(lead)
-    rows = transpose(mixed, (*range(2, 2 + n), 1, 0, 2 + n))  # [*lead x alpha x V x k]
-    return linear(reshape(rows, (*lead, alpha, v * per_head[-1])), params.w_out, params.b_out)
-
-
 def mtand_ts(series: PaddedSeries, grid: ReferenceGrid, params: MtandParams) -> Tensor:
     """Interpolate each feature's own observations onto the grid, all heads and
-    features in one segment attention, then project the concatenated head
+    features in one time attention, then project the concatenated head
     outputs.
 
     ``series`` [... x d_m x L] gives [... x alpha x d_h]; a feature without
     observations contributes a zero column.
     """
-    mixed = _interpolate(series.times, series.mask, series.values, grid, params)
-    return _project_heads(mixed, series.mask.shape[:-2], params)  # k = d_m: one column per feature
+    bank = params.bank
+    mixed = segment_time_attention(
+        grid.points, params.w_query, params.w_key, bank.omega, bank.phi,
+        series.times, series.mask, series.values[..., None],
+    )  # [... x alpha x V*d_m]: one column per head and feature
+    return linear(mixed, params.w_out, params.b_out)
 
 
 def mtand_txt(
@@ -180,5 +152,9 @@ def mtand_txt(
     if note_times.size == 0 or not mask.any(axis=-1).all():
         raise ValueError("mtand_txt needs at least one note per episode")
     embeddings = np.asarray(note_embeddings, dtype=np.float64)
-    mixed = _interpolate(note_times, mask, embeddings, grid, params)
-    return _project_heads(mixed, mask.shape[:-1], params)  # k = d_t
+    bank = params.bank
+    mixed = segment_time_attention(
+        grid.points, params.w_query, params.w_key, bank.omega, bank.phi,
+        note_times[..., None, :], mask[..., None, :], embeddings[..., None, :, :],
+    )  # [... x alpha x V*d_t]: each episode's notes are one series of d_t channels
+    return linear(mixed, params.w_out, params.b_out)

@@ -44,7 +44,6 @@ __all__ = [
     "reduce_mean",
     "concat",
     "reshape",
-    "transpose",
     "gather_rows",
     "layer_norm",
     "causal_conv1d",
@@ -407,60 +406,68 @@ def _time2vec_backward(tk: np.ndarray, slope: np.ndarray, g: np.ndarray):
 
 
 def segment_time_attention(
-    query_times, w_query: Tensor, w_key: Tensor, key_times, omega: Tensor, phi: Tensor, segments, n_segments: int,
-    values,
+    query_times, w_query: Tensor, w_key: Tensor, omega: Tensor, phi: Tensor, key_times, key_mask, values
 ) -> Tensor:
-    """mTAND time attention of a query grid over keys split into segments, as
-    one tape node.
+    """mTAND time attention of a query grid over padded series, as one tape
+    node.
 
-    ``query_times`` [a] and ``key_times`` [n] are embedded with Time2Vec
+    ``query_times`` [a] and the keys' ``key_times`` are embedded with Time2Vec
     under the V heads of ``omega``/``phi`` [V x d_v]: column 0 is
     omega[:, 0] * t + phi[:, 0] (linear), column i >= 1 is
     sin(omega[:, i] * t + phi[:, i]). Under head v, query embedding e_q and
     key embedding e_k score (e_q W_q)(e_k W_k)^T / sqrt(d_v), with W_q and W_k
     that head's [d_v x d_v] of ``w_query`` and ``w_key`` [V x d_v x d_v]. The
     scores are taken as (((e_q W_q) W_k^T) / sqrt(d_v)) e_k^T, so the key
-    projection is applied once to the a queries instead of to every key. Each
-    query takes a softmax over the keys of each segment separately.
-    ``segments`` [n] gives every key's segment in [0, n_segments); it must be
-    nondecreasing, so a segment's keys are contiguous. ``values`` [n] or
-    [n x c] are constants. Returns [V x a x n_segments x c]: row (v, i, s)
-    mixes segment s's values by query i's weights under head v, and a segment
-    without keys gives zero rows (with no keys at all, the output is a
-    constant and nothing is recorded).
+    projection is applied once to the a queries instead of to every key.
+
+    ``key_times`` and ``key_mask`` are [*lead x m x L] and ``values``
+    [*lead x m x L x c], all constants: m series of up to L keys per leading
+    index, True mask entries being the valid keys. Each query takes a softmax
+    over each series' own valid keys. Returns [*lead x a x V*m*c], C-order,
+    so that ``linear`` reads it without a copy: entry v*m*c + j*c + k of row
+    (*lead, i) mixes channel k of series j's values by query i's weights under
+    head v, and a series without keys gives zeros (with no keys at all, the
+    output is a constant and nothing is recorded).
 
     Nothing is padded: the work and the memory kept for backward (the
     Time2Vec tangents [V x n x d_v] and linear column [V x n], and the
-    weights [V x n x a]) are linear in the key count. The keys are dropped
-    once scored; backward rebuilds them, the query embeddings and both
-    Time2Vec slopes from the tangents, bit for bit, so it computes no
-    transcendental. The bank gradients are the keys' share plus the
-    queries'. The segment reductions run along the key axis with
-    ``reduceat`` at the segment starts.
+    weights [V x n x a], for the n valid keys) are linear in the key count.
+    The keys are dropped once scored; backward rebuilds them, the query
+    embeddings and both Time2Vec slopes from the tangents, bit for bit, so it
+    computes no transcendental. The bank gradients are the keys' share plus
+    the queries'. The valid keys are taken in C order, so each series' keys
+    are contiguous, and the series reductions run along the key axis with
+    ``reduceat`` at the series starts.
     """
     od, pd, wqd, wkd = omega.data, phi.data, w_query.data, w_key.data
     if od.ndim != 2 or pd.shape != od.shape or wqd.shape != od.shape + od.shape[1:] or wkd.shape != wqd.shape:
         shapes = " ".join(str(x.shape) for x in (od, pd, wqd, wkd))
         raise ShapeError(f"omega, phi [V x d_v], w_query, w_key [V x d_v x d_v]; got {shapes}")
-    tq, tk = _time2vec_rows(query_times), _time2vec_rows(key_times)
-    n = tk.shape[0]
-    seg = np.asarray(segments, dtype=np.intp).reshape(-1)
-    vals = np.asarray(values, dtype=np.float64)
-    vals = vals[:, None] if vals.ndim == 1 else vals
-    if seg.shape != (n,) or vals.ndim != 2 or vals.shape[0] != n:
-        raise ShapeError(f"{seg.size} segment ids and values {vals.shape} for {n} keys")
-    if n and (seg[0] < 0 or seg[-1] >= n_segments or np.any(seg[1:] < seg[:-1])):
-        raise ValueError(f"segment ids must be nondecreasing in [0, {n_segments})")
+    mask = np.asarray(key_mask, dtype=bool)
+    times, vals = _as_const(key_times), _as_const(values)
+    if mask.ndim < 2 or times.shape != mask.shape or vals.shape[:-1] != mask.shape:
+        raise ShapeError(
+            f"key_times, key_mask [*lead x m x L], values [*lead x m x L x c]; "
+            f"got {times.shape} {mask.shape} {vals.shape}"
+        )
+    *lead, m, length = mask.shape
+    n_lead = math.prod(lead)
+    tq = _time2vec_rows(query_times)
     v, d_v = od.shape
-    a, c = tq.shape[0], vals.shape[1]
-    out = np.zeros((v, a, n_segments, c))
+    a, c = tq.shape[0], vals.shape[-1]
+    out = np.zeros((*lead, a, v * m * c))
+    seg = np.nonzero(mask.reshape(n_lead * m, length))[0]  # each valid key's series, nondecreasing
+    n = seg.size
     if n == 0:
         return Tensor(out)
+    tk, vals = _time2vec_rows(times[mask]), vals[mask]
     starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
     counts = np.diff(np.r_[starts, n])
-    present = seg[starts]  # the segments that have keys, in order
+    lead_of, series_of = np.divmod(seg[starts], m)  # the series that have keys, in order
+    # the output as [V x prod(lead) x m x a x c], a view: a series' rows are (lead_of, series_of)
+    rows = out.reshape(n_lead, a, v, m, c).transpose(2, 0, 3, 1, 4)
 
-    def spread(x: np.ndarray) -> np.ndarray:  # per-segment [V x S x ...] -> per-key [V x n x ...]
+    def spread(x: np.ndarray) -> np.ndarray:  # per-series [V x S x ...] -> per-key [V x n x ...]
         return np.repeat(x, counts, axis=1)
 
     tape = _active_tape()
@@ -470,21 +477,21 @@ def segment_time_attention(
     qd = proj @ np.ascontiguousarray(np.swapaxes(wkd, 1, 2))
     qd *= scale  # the queries [V x a x d_v]
     keys, kept = _time2vec(tk, od, pd, keep=tape is not None)
-    w = keys @ np.swapaxes(qd, 1, 2)  # scores [V x n x a], key-major so segments are row blocks
+    w = keys @ np.swapaxes(qd, 1, 2)  # scores [V x n x a], key-major so series are row blocks
     del keys
     w -= spread(np.maximum.reduceat(w, starts, axis=1))
     np.exp(w, out=w)
     w /= spread(np.add.reduceat(w, starts, axis=1))
-    mixed = np.add.reduceat(w[..., None] * vals[:, None, :], starts, axis=1)  # [V x S x a x c]
-    out[:, :, present, :] = np.swapaxes(mixed, 1, 2)
+    rows[:, lead_of, series_of] = np.add.reduceat(w[..., None] * vals[:, None, :], starts, axis=1)
     result = Tensor(out)
     if tape is not None:
 
         def backward(g: np.ndarray):
-            g_mixed = spread(np.swapaxes(g[:, :, present, :], 1, 2))  # [V x n x a x c]
+            g_rows = g.reshape(n_lead, a, v, m, c).transpose(2, 0, 3, 1, 4)
+            g_mixed = spread(g_rows[:, lead_of, series_of])  # [V x n x a x c]
             g_w = (g_mixed * vals[:, None, :]).sum(axis=-1)
             g_s = g_w * w
-            g_s -= w * spread(np.add.reduceat(g_s, starts, axis=1))  # softmax within each segment
+            g_s -= w * spread(np.add.reduceat(g_s, starts, axis=1))  # softmax within each series
             keys, slope = _time2vec_rebuild(kept)
             g_q = np.swapaxes(g_s, 1, 2) @ keys
             g_keys = np.matmul(g_s, qd, out=keys)  # the keys are spent
@@ -594,17 +601,6 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     xshape = x.shape
     return _unary(x, x.data.reshape(shape).copy(), lambda g: (g.reshape(xshape),), "reshape")
-
-
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    """Permute axes: output axis i is input axis ``axes[i]``."""
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    return _unary(
-        x,
-        np.ascontiguousarray(np.transpose(x.data, axes)),
-        lambda g: (np.transpose(g, inverse),),
-        "transpose",
-    )
 
 
 def gather_rows(x: Tensor, rows) -> Tensor:

@@ -1,8 +1,8 @@
-"""Gradient-check helpers the tests share: two tape ops the model does not
+"""Gradient-check helpers the tests share: three tape ops the model does not
 run, and central finite differences to compare tape gradients against.
 
-``sin`` and ``reduce_sum`` record on the package's ``Tape`` through
-``tensor._unary``, like the shipped unary ops.
+``sin``, ``reduce_sum`` and ``transpose`` record on the package's ``Tape``
+through ``tensor._unary``, like the shipped unary ops.
 """
 
 from typing import Callable
@@ -27,6 +27,17 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, xshape).copy(),)
 
     return _unary(x, np.sum(x.data, axis=axis, keepdims=keepdims), backward, "sum")
+
+
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """Permute axes: output axis i is input axis ``axes[i]``."""
+    inverse = tuple(int(i) for i in np.argsort(axes))
+    return _unary(
+        x,
+        np.ascontiguousarray(np.transpose(x.data, axes)),
+        lambda g: (np.transpose(g, inverse),),
+        "transpose",
+    )
 
 
 def finite_difference_gradients(

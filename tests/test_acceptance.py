@@ -20,11 +20,12 @@ from mmists.data import (
     NoteEvent,
     TsObservation,
     generate_synthetic,
+    group_by_feature,
 )
 from mmists.fusion import cross_attend, init_attention_params, self_attend
 from mmists.gating import utde_embed
 from mmists.harness import evaluate, load_checkpoint, save_checkpoint, train
-from mmists.imputation import ReferenceGrid, discretize, impute
+from mmists.imputation import ReferenceGrid, bin_series, impute
 from mmists.metrics import auroc, aupr
 from mmists.model import (
     RunConfig,
@@ -56,10 +57,10 @@ from mmists.tensor import (
     reshape,
     segment_time_attention,
     sigmoid,
-    transpose,
 )
 import conftest
-from gradcheck import finite_difference_gradients, reduce_sum, relative_error, sin
+from test_segment_attention import SERIES_MASK, padded
+from gradcheck import finite_difference_gradients, reduce_sum, relative_error, sin, transpose
 from oracles import (
     auroc_pairs,
     aupr_prefix,
@@ -237,19 +238,20 @@ def _grad_suite_ops(rng: np.random.Generator) -> float:
     seg_w_key = Tensor(rng.normal(size=(2, 4, 4)))
     omega = Tensor(rng.normal(size=(2, 4)) * 3.0)
     phi = Tensor(rng.normal(size=(2, 4)))
-    query_times, seg_times = rng.random(3), rng.random(6)
-    segments = np.array([0, 0, 2, 2, 2, 3])  # segments 1 and 4: no key
-    seg_values = rng.normal(size=(6, 2))
+    query_times = rng.random(3)
+    seg_times = padded(SERIES_MASK, rng.random(6))  # five series; 1 and 4: no key
+    seg_values = padded(SERIES_MASK, rng.normal(size=(6, 2)))
     # the keys' share of phi's linear column is exactly 0 (it shifts every
-    # score of a segment alike); small weights keep the central differences'
-    # rounding there under relative_error's 1e-6 floor
-    seg_w = rng.normal(size=(2, 3, 5, 2)) * 0.1
+    # score of a series alike); small weights keep the central differences'
+    # rounding there under relative_error's 1e-6 floor. They are drawn
+    # [V x a x series x c] and laid out as the output's rows.
+    seg_w = np.swapaxes(rng.normal(size=(2, 3, 5, 2)) * 0.1, 0, 1).reshape(3, -1)
     check(
         {"w_query": seg_w_query, "w_key": seg_w_key, "omega": omega, "phi": phi},
         lambda: reduce_sum(
             sin(
                 segment_time_attention(
-                    query_times, seg_w_query, seg_w_key, seg_times, omega, phi, segments, 5, seg_values
+                    query_times, seg_w_query, seg_w_key, omega, phi, seg_times, SERIES_MASK, seg_values
                 )
             )
             * seg_w
@@ -340,7 +342,7 @@ def test_criterion_02_hourly_imputation_example():
         feature_min=np.zeros(1), feature_max=np.ones(1),
         global_mean=np.array([m]), alpha_hours=4.0,
     )
-    got = impute(discretize(ep, ReferenceGrid(4), n_features=1), stats).data[:, 0]
+    got = impute(bin_series(group_by_feature(ep, 1), ReferenceGrid(4), ep.episode_id), stats).data[:, 0]
     ok = np.array_equal(got, [m, 8.0, 8.0, 12.0])
     line = _announce(2, "hourly worked example", ok, f"got={got.tolist()} want=[{m}, 8.0, 8.0, 12.0]")
     assert ok, line

@@ -92,6 +92,23 @@ def test_unknown_config_key_is_config_error(tmp_path):
         build_run_config(args)
 
 
+def test_coerce_parses_words_to_booleans_and_none():
+    assert cli._coerce("text_irregularity", "off") is False
+    assert cli._coerce("text_irregularity", "yes") is True
+    assert cli._coerce("grad_clip", "none") is None
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--alpha", "abc", "alpha expects int, got 'abc'"),
+     ("--text-irregularity", "maybe", "text_irregularity expects a boolean, got 'maybe'")],
+)
+def test_unparsable_flag_value_exits_2(tmp_path, capsys, flag, value, message):
+    rc = main(["train", "--seed", "0", flag, value, "--checkpoint-path", str(tmp_path / "x.ckpt")])
+    assert rc == 2
+    assert message in one_error_line(capsys, "config error: ")
+
+
 # ------------------------------------------------------------------ gen
 
 def test_gen_is_deterministic_and_loadable(tmp_path):

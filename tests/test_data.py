@@ -197,6 +197,27 @@ class TestLoad:
             load_episodes(p, TaskSchema(n_features=2, n_classes=1, text_dim=4))
 
     @pytest.mark.parametrize(
+        "overrides, field, why",
+        [
+            ({"ts": [{"f": 0, "t": 1.0, "v": 0.0}, {"f": 0, "t": float("nan"), "v": 0.0}]}, "ts", "time"),
+            ({"ts": [{"f": 0, "t": 1.0, "v": 0.0}, {"f": 0, "t": float("inf"), "v": 0.0}]}, "ts", "time"),
+            ({"ts": [{"f": 0, "t": 1.0, "v": 0.0}, {"f": 0, "t": -1, "v": 0.0}]}, "ts", "time"),
+            ({"ts": [{"f": 0, "t": 1.0, "v": 0.0}, {"f": 0, "t": 1.0, "v": float("nan")}]}, "ts", "non-finite value"),
+            ({"notes": [{"t": 1.0, "text": "x"}, {"t": float("-inf"), "text": "y"}]}, "notes", "time"),
+            ({"notes": [{"t": 1.0, "text": "x"}, {"t": 1.0, "emb": [0.0, float("nan"), 0.0, 0.0]}]}, "notes",
+             "non-finite embedding"),
+        ],
+        ids=["ts-time-nan", "ts-time-inf", "ts-time-negative", "ts-value-nan", "note-time-neg-inf", "emb-nan"],
+    )
+    def test_non_finite_or_negative_numbers_rejected(self, tmp_path, overrides, field, why):
+        """NaN and Infinity (which JSON text can carry) and negative times are
+        rejected, naming the field and the entry."""
+        p = tmp_path / "d.jsonl"
+        write_lines(p, [make_record(**overrides)])
+        with pytest.raises(DataError, match=f"line 1: field '{field}': entry 1: {why}"):
+            load_episodes(p, TaskSchema(n_features=2, n_classes=1, text_dim=4))
+
+    @pytest.mark.parametrize(
         "overrides, field",
         [
             ({"notes": [{"t": 1.0, "text": None}]}, "notes"),

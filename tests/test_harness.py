@@ -106,6 +106,18 @@ def test_best_checkpoint_is_earliest_maximum(splits):
     assert list(best) == sorted(best)
 
 
+def test_tied_epochs_keep_the_earliest(splits, monkeypatch):
+    """With every epoch scoring the same, training returns epoch 0 and its
+    value: a later epoch must beat the best, not only equal it."""
+    monkeypatch.setattr(harness, "_selection_metric", lambda scores, labels, task: 0.25)
+    tr, va, _ = splits
+    vals = []
+    ckpt = train(small_config(epochs=3), tr, va, val_trace=vals)
+    assert vals == [0.25] * 4
+    assert ckpt.epoch == 0 and ckpt.metric_value == 0.25
+    np.testing.assert_array_equal(ckpt.buffer, init_model(small_config(epochs=3)).buffer)
+
+
 @pytest.fixture(scope="module")
 def fused_splits():
     eps = generate_synthetic(GenConfig(n_episodes=24, task="xor_fusion", seed=5))

@@ -14,9 +14,10 @@ from mmists.data import (
     NoteEvent,
     TsObservation,
     generate_synthetic,
+    group_by_feature,
     normalize,
 )
-from mmists.imputation import DiscretizedSeries, ReferenceGrid, conv_embed, discretize, impute
+from mmists.imputation import DiscretizedSeries, ReferenceGrid, bin_series, conv_embed, impute
 from mmists.tensor import Tensor
 
 from oracles import forward_fill_loop
@@ -55,40 +56,45 @@ class TestDiscretize:
             TsObservation(0, 1.5 / 4.0, 8.0),
             TsObservation(0, 3.7 / 4.0, 12.0),
         ]
-        series = discretize(episode(obs), ReferenceGrid(4), n_features=1)
+        ep = episode(obs)
+        series = bin_series(group_by_feature(ep, 1), ReferenceGrid(4), ep.episode_id)
         assert_array_equal(series.observed_mask[:, 0], [False, True, False, True])
         assert series.values[1, 0] == 8.0  # the later in-bin observation wins
         assert series.values[3, 0] == 12.0
 
     def test_one_observation_per_bin_passes_through(self):
         obs = [TsObservation(0, (b + 0.5) / 4.0, float(b)) for b in range(4)]
-        series = discretize(episode(obs), ReferenceGrid(4), n_features=1)
+        ep = episode(obs)
+        series = bin_series(group_by_feature(ep, 1), ReferenceGrid(4), ep.episode_id)
         assert series.observed_mask.all()
         assert_allclose(series.values[:, 0], [0.0, 1.0, 2.0, 3.0])
 
     def test_later_time_in_bin_wins(self):
         obs = [TsObservation(0, 0.10, 1.0), TsObservation(0, 0.12, 2.0)]
-        series = discretize(episode(obs), ReferenceGrid(4), n_features=1)
+        ep = episode(obs)
+        series = bin_series(group_by_feature(ep, 1), ReferenceGrid(4), ep.episode_id)
         assert series.values[0, 0] == 2.0
 
     def test_identical_times_resolve_to_later_input(self):
         obs = [TsObservation(0, 0.1, 1.0), TsObservation(0, 0.1, 2.0)]
-        series = discretize(episode(obs), ReferenceGrid(4), n_features=1)
+        ep = episode(obs)
+        series = bin_series(group_by_feature(ep, 1), ReferenceGrid(4), ep.episode_id)
         assert series.values[0, 0] == 2.0
 
     def test_boundary_time_lands_in_later_bin(self):
-        series = discretize(
-            episode([TsObservation(0, 0.25, 7.0)]), ReferenceGrid(4), n_features=1
-        )
+        ep = episode([TsObservation(0, 0.25, 7.0)])
+        series = bin_series(group_by_feature(ep, 1), ReferenceGrid(4), ep.episode_id)
         assert series.observed_mask[1, 0] and not series.observed_mask[0, 0]
 
     def test_out_of_window_time_rejected(self):
+        ep = episode([TsObservation(0, 1.0, 1.0)])
         with pytest.raises(DataError, match="outside the window"):
-            discretize(episode([TsObservation(0, 1.0, 1.0)]), ReferenceGrid(4), 1)
+            bin_series(group_by_feature(ep, 1), ReferenceGrid(4), ep.episode_id)
 
     def test_negative_time_rejected(self):
+        ep = episode([TsObservation(0, -0.5, 1.0)])
         with pytest.raises(DataError, match="outside the window"):
-            discretize(episode([TsObservation(0, -0.5, 1.0)]), ReferenceGrid(4), 1)
+            bin_series(group_by_feature(ep, 1), ReferenceGrid(4), ep.episode_id)
 
     def test_matches_scan_oracle_on_random_episodes(self):
         rng = np.random.default_rng(21)
@@ -98,7 +104,8 @@ class TestDiscretize:
             feats = rng.integers(0, 3, size=n)
             vals = rng.normal(size=n)
             obs = [TsObservation(int(f), float(t), float(v)) for f, t, v in zip(feats, times, vals)]
-            series = discretize(episode(obs), ReferenceGrid(6), n_features=3)
+            ep = episode(obs)
+            series = bin_series(group_by_feature(ep, 3), ReferenceGrid(6), ep.episode_id)
             want = np.zeros((6, 3))
             mask = np.zeros((6, 3), dtype=bool)
             for f in range(3):
@@ -149,7 +156,7 @@ class TestImpute:
         neps, stats = normalize(eps, alpha_hours=24.0)
         grid = ReferenceGrid(8)
         for ep in neps:
-            out = impute(discretize(ep, grid, 4), stats)
+            out = impute(bin_series(group_by_feature(ep, 4), grid, ep.episode_id), stats)
             assert np.all(out.data >= 0.0) and np.all(out.data <= 1.0)
 
     @settings(max_examples=200, deadline=None)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from mmists.imputation import ReferenceGrid
 from mmists.mtand import (
     MtandParams,
+    PaddedSeries,
     Time2VecBank,
     init_mtand_params,
     init_time2vec_bank,
@@ -281,6 +282,36 @@ class TestMtandTxt:
             mtand_txt(np.array([]), np.zeros((0, 2)), ReferenceGrid(3), params)
 
 
+class TestStreamIsKernelAndProjection:
+    """Each mTAND stream records the kernel and the ``linear`` that reads its
+    output, and nothing between them: the kernel writes the projection's
+    layout, so no ``reshape`` or ``transpose`` rebuilds the rows."""
+
+    def assert_kernel_then_linear(self, run):
+        with Tape() as tape:
+            run()
+        ops = [(i, node) for i, node in enumerate(tape.nodes) if node.op != "leaf"]
+        assert [node.op for _, node in ops] == ["segment_time_attention", "linear"]
+        (kernel, _), (_, projection) = ops
+        assert projection.input_ids[0] == kernel  # the linear reads the kernel's output
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    def test_mtand_ts(self, lead):
+        rng = np.random.default_rng(49)
+        params = make_params(rng, v=3, d_v=4, d_in=2, d_h=5)
+        mask = rng.random(lead + (2, 4)) < 0.6
+        series = PaddedSeries(rng.random(mask.shape), rng.normal(size=mask.shape), mask)
+        self.assert_kernel_then_linear(lambda: mtand_ts(series, ReferenceGrid(3), params))
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_mtand_txt(self, lead):
+        rng = np.random.default_rng(50)
+        params = make_params(rng, v=3, d_v=4, d_in=2, d_h=5)
+        mask = np.arange(3) < rng.integers(1, 4, size=lead + (1,))
+        times, embs = rng.random(mask.shape), rng.normal(size=mask.shape + (2,))
+        self.assert_kernel_then_linear(lambda: mtand_txt(times, embs, ReferenceGrid(3), params, mask))
+
+
 class TestSharedBankGradients:
     def test_joint_gradient_is_sum_of_modality_gradients(self):
         rng = np.random.default_rng(46)
@@ -329,9 +360,10 @@ class TestPhaseShiftScoreIdentity:
         bank = one_head(bank_omega, bank_phi)
         l = len(k_times)
         out = segment_time_attention(
-            q_times, Tensor(w_q[None]), Tensor(w_k[None]), k_times, bank.omega, bank.phi, np.zeros(l, int), 1, np.eye(l)
+            q_times, Tensor(w_q[None]), Tensor(w_k[None]), bank.omega, bank.phi,
+            k_times[None], np.ones((1, l), dtype=bool), np.eye(l)[None],
         )
-        return out.data[0, :, 0, :]
+        return out.data  # [a x V*m*c] with V = m = 1 and c = l
 
     def test_shift_invariance_requires_zero_linear_key_weight(self):
         rng = np.random.default_rng(48)

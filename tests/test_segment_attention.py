@@ -1,6 +1,6 @@
 """The segment time-attention kernel behind mTAND: outputs against the direct
 per-head oracle on padded groups, gradients against central differences,
-and properties over random segmentations and padding."""
+and properties over random series lengths and padding."""
 
 import tracemalloc
 
@@ -19,6 +19,26 @@ from gradcheck import finite_difference_gradients, reduce_sum, relative_error, s
 from oracles import time_attention_oracle
 from test_mtand import head_vectors
 from test_tensor import check_grads
+
+
+# the keys of five series of up to three keys: series 1 and 4 have none
+SERIES_MASK = np.arange(3) < np.array([2, 0, 3, 1, 0])[:, None]
+
+
+def padded(mask, valid, fill=0.0) -> np.ndarray:
+    """``valid`` [n x ...], the valid keys' entries in C order, placed at the
+    True entries of ``mask``; the padding holds ``fill``."""
+    valid = np.asarray(valid, dtype=np.float64)
+    out = np.full(mask.shape + valid.shape[1:], fill)
+    out[mask] = valid
+    return out
+
+
+def per_head(out, m, c) -> np.ndarray:
+    """The kernel's [*lead x a x V*m*c] as [*lead x m x V x a x c]: one
+    [V x a x c] block per series."""
+    *lead, a, _ = out.shape
+    return np.moveaxis(out.reshape(*lead, a, -1, m, c), (-4, -3), (-2, -3))
 
 
 def make_params(seed, v=2, d_v=5, d_in=1, d_h=4):
@@ -61,25 +81,23 @@ class TestAgainstOracle:
         params = make_params(71, v=3, d_v=6)
         grid = ReferenceGrid(5)
         s = padded_group()
-        n_series = s.mask.shape[0] * s.mask.shape[1]
-        segments = np.nonzero(s.mask.reshape(n_series, -1))[0]
         out = segment_time_attention(
             grid.points,
             params.w_query,
             params.w_key,
-            s.times[s.mask],
             params.bank.omega,
             params.bank.phi,
-            segments,
-            n_series,
-            s.values[s.mask],
+            s.times,
+            s.mask,
+            s.values[..., None],
         ).data
-        assert out.shape == (3, 5, n_series, 1)
-        flat_t, flat_v, flat_m = (x.reshape(n_series, -1) for x in (s.times, s.values, s.mask))
-        for j in range(n_series):
-            l = flat_m[j]
-            want = per_head_oracle(grid, flat_t[j, l], flat_v[j, l].reshape(-1, 1), params)
-            assert_allclose(out[:, :, j, :], want, atol=1e-9)
+        assert out.shape == (3, 5, 3 * 3 * 1) and out.flags.c_contiguous
+        blocks = per_head(out, 3, 1)
+        for b in range(3):
+            for j in range(3):
+                l = s.mask[b, j]
+                want = per_head_oracle(grid, s.times[b, j, l], s.values[b, j, l].reshape(-1, 1), params)
+                assert_allclose(blocks[b, j], want, atol=1e-9)
 
     def test_mtand_ts_group_matches_oracle_and_projection(self):
         params = make_params(72, v=2, d_v=5, d_in=3, d_h=4)
@@ -111,25 +129,27 @@ class TestAgainstOracle:
 class TestKernel:
     def setup_case(self, seed=75):
         """(rng, inputs): the kernel's arguments but its values, for 2 heads,
-        3 queries, d_v = 4 and 6 keys in 5 segments."""
+        3 queries, d_v = 4 and 6 keys in the 5 series of ``SERIES_MASK``,
+        with nonzero times in the padding."""
         rng = np.random.default_rng(seed)
         inputs = dict(
             query_times=rng.random(3),
             w_query=Tensor(rng.normal(size=(2, 4, 4))),
             w_key=Tensor(rng.normal(size=(2, 4, 4))),
-            key_times=rng.random(6),
+            key_times=padded(SERIES_MASK, rng.random(6), fill=0.5),
             omega=Tensor(rng.normal(size=(2, 4)) * 3.0),
             phi=Tensor(rng.normal(size=(2, 4))),
-            segments=np.array([0, 0, 2, 2, 2, 3]),  # segments 1 and 4 have no keys
-            n_segments=5,
+            key_mask=SERIES_MASK,
         )
         return rng, inputs
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_gradients_match_central_differences(self, width):
         rng, inputs = self.setup_case()
-        values = rng.normal(size=(6, width))
-        w = rng.normal(size=(2, 3, 5, width)) * 0.1  # see criterion 01: the keys' share of phi[:, 0] is 0
+        values = padded(SERIES_MASK, rng.normal(size=(6, width)))
+        # see criterion 01: the keys' share of phi[:, 0] is 0. The weights
+        # are drawn [V x a x series x c] and laid out as the output's rows.
+        w = np.swapaxes(rng.normal(size=(2, 3, 5, width)) * 0.1, 0, 1).reshape(3, -1)
         check_grads(
             lambda: reduce_sum(sin(segment_time_attention(**inputs, values=values)) * w),
             {name: inputs[name] for name in ("w_query", "w_key", "omega", "phi")},
@@ -140,13 +160,13 @@ class TestKernel:
         then the queries'. The queries' share matches central differences of
         the per-head oracle with only the queries' omega/phi moved."""
         rng, inputs = self.setup_case(77)
-        values = rng.normal(size=(6, 1))
-        g = rng.normal(size=(2, 3, 5, 1))
+        values = padded(SERIES_MASK, rng.normal(size=(6, 1)))
+        g = rng.normal(size=(2, 3, 5, 1))  # [V x a x series x c]
         with Tape() as tape:
             out = segment_time_attention(**inputs, values=values)
-            g_omega_q, g_phi_q = tape.nodes[tape.node_of(out)].backward(g)[4:]
+            g_omega_q, g_phi_q = tape.nodes[tape.node_of(out)].backward(np.swapaxes(g, 0, 1).reshape(3, -1))[4:]
         omega, phi = inputs["omega"].data, inputs["phi"].data
-        w_q, w_k, segments = inputs["w_query"].data, inputs["w_key"].data, inputs["segments"]
+        w_q, w_k = inputs["w_query"].data, inputs["w_key"].data
         query_bank = {"omega": Tensor(omega.copy()), "phi": Tensor(phi.copy())}
 
         def loss() -> float:  # sum(out * g), the queries embedded under query_bank
@@ -154,9 +174,9 @@ class TestKernel:
             for v in range(2):
                 q_emb = head_vectors(inputs["query_times"], query_bank["omega"].data[v], query_bank["phi"].data[v])
                 for s in range(5):
-                    own = segments == s
-                    k_emb = head_vectors(inputs["key_times"][own], omega[v], phi[v])
-                    total += np.sum(time_attention_oracle(q_emb, k_emb, values[own], w_q[v], w_k[v]) * g[v, :, s])
+                    own = SERIES_MASK[s]
+                    k_emb = head_vectors(inputs["key_times"][s, own], omega[v], phi[v])
+                    total += np.sum(time_attention_oracle(q_emb, k_emb, values[s, own], w_q[v], w_k[v]) * g[v, :, s])
             return total
 
         numeric = finite_difference_gradients(loss, query_bank)
@@ -165,31 +185,36 @@ class TestKernel:
 
     def test_segments_without_keys_give_zero_rows(self):
         rng, inputs = self.setup_case()
-        out = segment_time_attention(**inputs, values=rng.normal(size=6)).data
-        assert out.shape == (2, 3, 5, 1)
-        assert np.all(out[:, :, [1, 4]] == 0.0)
-        assert np.all(out[:, :, [0, 2, 3]] != 0.0)
+        out = segment_time_attention(**inputs, values=padded(SERIES_MASK, rng.normal(size=(6, 1)), fill=1.0)).data
+        assert out.shape == (3, 2 * 5 * 1)
+        blocks = per_head(out, 5, 1)
+        assert np.all(blocks[[1, 4]] == 0.0)
+        assert np.all(blocks[[0, 2, 3]] != 0.0)
 
-    def test_no_keys_gives_zeros(self):
+    @pytest.mark.parametrize("length", [0, 2])
+    def test_no_keys_gives_zeros(self, length):
         _, inputs = self.setup_case()
-        inputs.update(key_times=np.zeros(0), segments=np.zeros(0, int), n_segments=3)
+        mask = np.zeros((3, length), dtype=bool)
+        inputs.update(key_times=np.ones(mask.shape), key_mask=mask)
         with Tape() as tape:
-            out = segment_time_attention(**inputs, values=np.zeros((0, 2)))
-        assert out.shape == (2, 3, 3, 2) and not out.data.any()
+            out = segment_time_attention(**inputs, values=np.ones((3, length, 2)))
+        assert out.shape == (3, 2 * 3 * 2) and not out.data.any()
         assert not tape.nodes  # a constant: nothing to differentiate
 
-    def test_bad_segments_rejected(self):
+    def test_bad_shapes_rejected(self):
         _, inputs = self.setup_case()
-        values = np.ones(6)
-        for segments, n_segments in (([0, 1, 0, 1, 2, 2], 3), ([0, 0, 1, 1, 2, 3], 3)):
-            with pytest.raises(ValueError):
-                segment_time_attention(**{**inputs, "segments": segments, "n_segments": n_segments}, values=values)
-        with pytest.raises(ShapeError):
-            segment_time_attention(**{**inputs, "segments": [0, 0, 1]}, values=values)
-        with pytest.raises(ShapeError):
-            segment_time_attention(**{**inputs, "phi": Tensor(np.ones((3, 4)))}, values=values)
-        with pytest.raises(ShapeError):
-            segment_time_attention(**{**inputs, "w_key": Tensor(np.ones((2, 4, 3)))}, values=values)
+        values = np.ones((5, 3, 1))
+        for bad in (
+            {"key_times": np.ones((5, 2))},  # times vs mask
+            {"key_mask": SERIES_MASK[:4]},  # mask vs times and values
+            {"key_times": np.ones(3), "key_mask": SERIES_MASK[0]},  # no series axis
+            {"values": np.ones((5, 3))},  # values without their channel axis
+            {"values": np.ones((5, 2, 1))},  # values vs mask
+            {"phi": Tensor(np.ones((3, 4)))},
+            {"w_key": Tensor(np.ones((2, 4, 3)))},
+        ):
+            with pytest.raises(ShapeError):
+                segment_time_attention(**{**inputs, "values": values, **bad})
 
     def test_taped_call_keeps_one_key_sized_array(self):
         """At the default config's V, d_v and alpha, a taped call keeps the
@@ -201,13 +226,13 @@ class TestKernel:
         rng = np.random.default_rng(76)
         w_query, w_key = Tensor(rng.normal(size=(v, d_v, d_v))), Tensor(rng.normal(size=(v, d_v, d_v)))
         omega, phi = Tensor(rng.normal(size=(v, d_v))), Tensor(rng.normal(size=(v, d_v)))
-        times, values = np.sort(rng.random(n)), rng.normal(size=n)
-        segments = np.repeat(np.arange(4), n // 4)
+        times, values = np.sort(rng.random(n)).reshape(4, -1), rng.normal(size=(4, n // 4, 1))
+        mask = np.ones(times.shape, dtype=bool)
         grid = ReferenceGrid(a).points
         tracemalloc.start()
         try:
             with Tape():
-                out = segment_time_attention(grid, w_query, w_key, times, omega, phi, segments, 4, values)
+                out = segment_time_attention(grid, w_query, w_key, omega, phi, times, mask, values)
                 held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -217,41 +242,42 @@ class TestKernel:
 
 @st.composite
 def segment_cases(draw):
-    """The kernel's arguments, values included."""
+    """The kernel's arguments, values included: lead x m series of up to
+    three keys each, padding holding random times and values."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v, a, d_v = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
-    n_segments = draw(st.integers(1, 6))
-    counts = rng.integers(0, 4, size=n_segments)
-    segments = np.repeat(np.arange(n_segments), counts)
+    lead, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    counts = rng.integers(0, 4, size=(lead, m))
+    mask = np.arange(max(1, counts.max())) < counts[..., None]
     c = draw(st.integers(1, 3))
     scale = draw(st.sampled_from([1.0, 10.0]))  # 10: near one-hot softmax rows
     return dict(
         query_times=rng.random(a),
         w_query=Tensor(rng.normal(size=(v, d_v, d_v)) * scale),
         w_key=Tensor(rng.normal(size=(v, d_v, d_v))),
-        key_times=rng.random(segments.size),
         omega=Tensor(rng.normal(size=(v, d_v)) * 5.0),
         phi=Tensor(rng.normal(size=(v, d_v))),
-        segments=segments,
-        n_segments=n_segments,
-        values=rng.normal(size=(segments.size, c)),
+        key_times=rng.random(mask.shape),
+        key_mask=mask,
+        values=rng.normal(size=mask.shape + (c,)),
     )
 
 
 @settings(max_examples=200, deadline=None)
 @given(segment_cases())
 def test_rows_are_convex_combinations_of_their_own_segment(case):
-    out = segment_time_attention(**case).data
-    ones = segment_time_attention(**{**case, "values": np.ones(case["segments"].size)}).data
-    segments, values = case["segments"], case["values"]
-    for s in range(case["n_segments"]):
-        own = values[segments == s]
+    mask, values = case["key_mask"], case["values"]
+    m, c = values.shape[1], values.shape[-1]
+    out = per_head(segment_time_attention(**case).data, m, c)
+    ones = per_head(segment_time_attention(**{**case, "values": np.ones(values.shape)}).data, m, c)
+    for b, j in np.ndindex(mask.shape[:2]):
+        own = values[b, j][mask[b, j]]
         if own.size == 0:
-            assert np.all(out[:, :, s] == 0.0)
+            assert np.all(out[b, j] == 0.0)
             continue
-        assert np.all(out[:, :, s] >= own.min(axis=0) - 1e-12)
-        assert np.all(out[:, :, s] <= own.max(axis=0) + 1e-12)
-        assert_allclose(ones[:, :, s], 1.0, rtol=0, atol=1e-12)  # each segment's weights sum to one
+        assert np.all(out[b, j] >= own.min(axis=0) - 1e-12)
+        assert np.all(out[b, j] <= own.max(axis=0) + 1e-12)
+        assert_allclose(ones[b, j], 1.0, rtol=0, atol=1e-12)  # each series' weights sum to one
 
 
 @settings(max_examples=100, deadline=None)

@@ -27,9 +27,8 @@ from mmists.tensor import (
     relu,
     reshape,
     sigmoid,
-    transpose,
 )
-from gradcheck import finite_difference_gradients, reduce_sum, relative_error, sin
+from gradcheck import finite_difference_gradients, reduce_sum, relative_error, sin, transpose
 from oracles import layer_norm_oracle
 
 

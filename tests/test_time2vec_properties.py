@@ -99,7 +99,7 @@ def test_kernel_bank_gradient_matches_cos(values, weight):
 
     def gradients():
         with Tape() as tape:
-            out = segment_time_attention([1.0], w_query, w_key, [0.0, 1.0], omega, phi, [0, 0], 1, [0.0, 1.0])
+            out = segment_time_attention([1.0], w_query, w_key, omega, phi, [[0.0, 1.0]], [[True, True]], [[[0.0], [1.0]]])
             tape.backward(reduce_sum(out * weight))
         return tape.grad(omega), tape.grad(phi)
 
