@@ -14,16 +14,11 @@ parameter buffer when an epoch >= 1 leads, and none while the initialization
 (epoch 0) leads, since ``init_model(config)`` redraws it bit for bit from the
 seed once training ends.
 
-Memory: the parameter buffer, its gradient, Adam's moments, the best
-snapshot and a loaded checkpoint's buffer come from ``mapped_zeros``:
-anonymous mappings outside malloc's heap that a later buffer of the same size
-reuses, so they leave no hole in the heap and a second run faults none of
-them in again. An epochs=0 run allocates no gradient or moments.
-
 Allocator policy (glibc only, process-wide): ``train`` first fixes glibc's
-malloc thresholds, once per process, through ``mallopt``. Other blocks of
-MMAP_THRESHOLD and up get their own mappings when the heap has no room for
-them and go back to the kernel when freed; every tape activation is served
+malloc thresholds, once per process, through ``mallopt``. Blocks of
+MMAP_THRESHOLD and up (the parameter buffer, its gradient, Adam's moments,
+checkpoint buffers) get their own mappings and go back to the kernel when
+freed, so they leave no hole in the heap; every tape activation is served
 from the heap, which keeps up to TRIM_THRESHOLD of freed top pages resident,
 so the next group reuses the pages the last group's backward freed instead of
 faulting them in again. Fixing either value also stops glibc's dynamic
@@ -58,7 +53,7 @@ from .model import (
     model_skeleton,
     prepare_episode,
 )
-from .tensor import Tape, adam_init, adam_step, bce_with_logits, buffer_views, mapped_zeros
+from .tensor import Tape, adam_init, adam_step, bce_with_logits, buffer_views
 from .tensor import _sigmoid as _sigmoid_np
 
 log = logging.getLogger(__name__)
@@ -185,7 +180,7 @@ def load_checkpoint(path) -> Checkpoint:
             stored = os.fstat(f.fileno()).st_size - f.tell()
             if stored != 8 * listed:  # checked before allocating what the index asks for
                 raise ValueError(f"parameter buffer is {stored} bytes; the index lists {listed} values")
-            buffer = mapped_zeros(listed).view("<f8")
+            buffer = np.empty(listed, dtype="<f8")
             if f.readinto(buffer) != stored or zlib.crc32(buffer) != meta["crc32"]:
                 raise ValueError("parameter buffer fails its crc32 check")
         config = RunConfig(**meta["config"]).validate()
@@ -278,6 +273,8 @@ def train(
 
     params = init_model(config)
     flat = params.flat()
+    opt = adam_init(params.buffer, lr=config.lr)
+    into = dict(zip(flat.values(), buffer_views(opt.grad_buffer, [t.shape for t in flat.values()])))
     metric_name = "f1" if config.task == "binary" else "macro_f1"
 
     val_prepared = _prepare_split(config, stats, val_episodes)
@@ -298,9 +295,6 @@ def train(
     shuffle_rng = np.random.default_rng([config.seed, _SHUFFLE_TAG])
     n = len(prepared)
     batch = config.batch_size
-    if config.resolved_epochs():  # an epochs=0 run allocates no optimizer state
-        opt = adam_init(params.buffer, lr=config.lr)
-        into = dict(zip(flat.values(), buffer_views(opt.grad_buffer, [t.shape for t in flat.values()])))
     for epoch in range(1, config.resolved_epochs() + 1):
         order = shuffle_rng.permutation(n)
         epoch_losses = []
@@ -325,11 +319,7 @@ def train(
                 if total > config.grad_clip:
                     opt.grad_buffer *= config.grad_clip / total
             if best_buffer is params.buffer:
-                if best_epoch:
-                    best_buffer = mapped_zeros(params.buffer.size)
-                    best_buffer[:] = params.buffer
-                else:
-                    best_buffer = None
+                best_buffer = params.buffer.copy() if best_epoch else None
             adam_step(flat, opt)
             epoch_losses.append(batch_loss)
             if loss_trace is not None:

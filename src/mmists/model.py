@@ -48,7 +48,7 @@ from .mtand import (
     mtand_txt,
     pad_series,
 )
-from .tensor import Tensor, buffer_views, concat, layer_norm, linear, mapped_zeros, reshape
+from .tensor import Tensor, buffer_views, concat, layer_norm, linear, reshape
 
 __all__ = [
     "ConfigError",
@@ -257,8 +257,7 @@ def _component_rng(seed: int, component: str) -> np.random.Generator:
 
 def init_model(config: RunConfig) -> ModelParams:
     params = _build_model(config.validate(), lambda component: _component_rng(config.seed, component))
-    values = [t.data.reshape(-1) for t in params.flat().values()]
-    params.adopt(np.concatenate(values, out=mapped_zeros(sum(v.size for v in values))))
+    params.adopt(np.concatenate([t.data.reshape(-1) for t in params.flat().values()]))
     return params
 
 

@@ -10,18 +10,15 @@ tapes. A tape keeps its leaves (the Tensors it reads but did not compute, such
 as parameters) in its own table and never writes to them, so one parameter can
 be read by several threads' tapes at once.
 
-``buffer_views`` cuts one flat buffer into consecutive shaped views;
-``mapped_zeros`` gives such a buffer a mapping of its own. Adam sweeps the
-model's flat parameter buffer, its gradient and moments in cache-sized
-chunks.
+``buffer_views`` cuts one flat buffer into consecutive shaped views. Adam
+sweeps the model's flat parameter buffer, its gradient and moments in
+cache-sized chunks.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -33,7 +30,6 @@ __all__ = [
     "Tape",
     "AdamState",
     "buffer_views",
-    "mapped_zeros",
     "adam_init",
     "adam_step",
     "linear",
@@ -809,55 +805,6 @@ def buffer_views(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[
     return [buffer[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
 
-# Mappings whose last array has gone, all of one size, newest last: the next
-# buffers of that size reuse their resident pages, and a request or release of
-# another size drops them. Six covers what one training run frees: the
-# parameters, their gradient, Adam's two moments, a best snapshot and the
-# initialization redrawn in its place.
-_SPARE_MAPPINGS: list[mmap.mmap] = []
-_MAX_SPARE_MAPPINGS = 6
-
-
-def mapped_zeros(size: int) -> np.ndarray:
-    """``size`` float64 zeros in an anonymous mapping of their own.
-
-    glibc's malloc serves even a block above its mmap threshold from the
-    heap's freed top when that is large enough, and a parameter-sized buffer
-    left there makes a later tape grow the heap past it and fault fresh pages
-    in. A mapping whose last array goes is kept for the next buffer of its
-    size (see ``_SPARE_MAPPINGS``), so a later training run writes pages that
-    are already resident rather than faulting new ones in."""
-    if size == 0:
-        return np.zeros(0)
-    nbytes = 8 * size
-    try:
-        region = _SPARE_MAPPINGS.pop()
-    except IndexError:
-        region = None
-    if region is not None and len(region) == nbytes:
-        out = np.frombuffer(region, dtype=np.float64)
-        out.fill(0.0)
-    else:
-        _SPARE_MAPPINGS.clear()  # any spares are of another size
-        if hasattr(mmap, "MAP_PRIVATE"):  # as malloc maps it: shared memory gets no huge pages
-            region = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
-        else:
-            region = mmap.mmap(-1, nbytes)
-        if hasattr(mmap, "MADV_HUGEPAGE"):  # as numpy advises its own large arrays
-            region.madvise(mmap.MADV_HUGEPAGE)
-        out = np.frombuffer(region, dtype=np.float64)
-    # out.base is the memoryview that out and every view of it keep alive
-    weakref.finalize(out.base, _spare_mapping, region).atexit = False
-    return out
-
-
-def _spare_mapping(region: mmap.mmap) -> None:
-    if _SPARE_MAPPINGS and len(_SPARE_MAPPINGS[-1]) != len(region):
-        _SPARE_MAPPINGS.clear()
-    if len(_SPARE_MAPPINGS) < _MAX_SPARE_MAPPINGS:
-        _SPARE_MAPPINGS.append(region)
-
-
 # Adam's moment decay rates and denominator floor
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -881,7 +828,7 @@ class AdamState:
 def adam_init(param_buffer: np.ndarray, lr: float = 4e-4) -> AdamState:
     """Fresh optimizer state over the flat ``param_buffer``, kept as it is and
     updated in place, with a zero gradient buffer of its size."""
-    return AdamState(param_buffer, mapped_zeros(param_buffer.size), lr)
+    return AdamState(param_buffer, np.zeros(param_buffer.size), lr)
 
 
 # Elements per Adam pass: the chunk's parameter, gradient, moments and two
@@ -904,7 +851,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> tuple[dict[str, Te
     """
     size = state.param_buffer.size
     if state.first_moment is None:
-        state.first_moment, state.second_moment = mapped_zeros(size), mapped_zeros(size)
+        state.first_moment, state.second_moment = np.zeros(size), np.zeros(size)
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1**t

@@ -551,30 +551,6 @@ class TestFlatBuffer:
             buffer_views(np.zeros(4), [(2,), (3,)])
 
 
-    def test_mapped_zeros_hands_a_mapping_on_once_no_array_views_it(self, monkeypatch):
-        monkeypatch.setattr(T, "_SPARE_MAPPINGS", [])
-        a = T.mapped_zeros(1000)
-        assert a.shape == (1000,) and a.dtype == np.float64 and a.flags.writeable and not a.any()
-        address = a.ctypes.data
-        a[:] = 1.0
-        view = buffer_views(a, [(10, 100)])[0]
-        del a
-        assert T._SPARE_MAPPINGS == []  # the view still reads it
-        assert T.mapped_zeros(1000).ctypes.data != address
-        del view
-        reused = T.mapped_zeros(1000)
-        assert reused.ctypes.data == address and not reused.any()  # the same pages, zeroed
-        del reused
-        other = T.mapped_zeros(500)  # the spare is the wrong size: a new mapping
-        assert other.ctypes.data != address and len(T._SPARE_MAPPINGS) == 0
-        del other  # a release of another size drops the spares of the old one
-        assert [len(region) for region in T._SPARE_MAPPINGS] == [8 * 500]
-        held = [T.mapped_zeros(500) for _ in range(T._MAX_SPARE_MAPPINGS + 2)]
-        del held
-        assert len(T._SPARE_MAPPINGS) == T._MAX_SPARE_MAPPINGS
-        assert T.mapped_zeros(0).shape == (0,)
-
-
 def flat_params(values: dict) -> tuple[dict[str, Tensor], np.ndarray]:
     """Tensors holding ``values``, each a view of one new flat buffer, and that buffer."""
     buffer = np.concatenate([np.ravel(v) for v in values.values()])
