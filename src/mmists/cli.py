@@ -1,8 +1,9 @@
 """Command-line front end: gen, train, eval, predict, ablate.
 
 Run settings live in a flat ``key = value`` config file whose keys are the
-RunConfig fields; every key can be overridden by the matching ``--key value``
-flag. Exit codes: 0 success, 2 configuration error (an invalid value, or a
+RunConfig fields and the run's file locations (PATH_KEYS, which RunConfig does
+not hold); every key can be overridden by the matching ``--key value`` flag.
+Exit codes: 0 success, 2 configuration error (an invalid value, or a
 ``--config`` file that is missing, a directory, unreadable or not UTF-8),
 3 data error (bad data, or any other named path that cannot be read or
 written), 4 numerical failure. Each failure prints one line to stderr. An
@@ -31,7 +32,6 @@ from .data import (
     generate_synthetic,
     load_episodes,
     save_episodes,
-    save_stats,
 )
 from .harness import (
     NumericalError,
@@ -51,7 +51,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_HINTS = typing.get_type_hints(RunConfig)
+PATH_KEYS = ("train_path", "val_path", "test_path", "checkpoint_path")
+_HINTS = {**typing.get_type_hints(RunConfig), **dict.fromkeys(PATH_KEYS, str | None)}
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -59,7 +60,7 @@ _FALSE = {"0", "false", "no", "off"}
 # ------------------------------------------------------------------ config
 
 def _coerce(key: str, raw: str):
-    """Parse a raw string into the declared type of a RunConfig field."""
+    """Parse a raw string into the declared type of a RunConfig field or path key."""
     if key not in _HINTS:
         raise ConfigError(f"unknown config key {key!r}")
     hint = _HINTS[key]
@@ -104,22 +105,24 @@ def read_config_file(path) -> dict[str, str]:
 
 def _add_runconfig_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
-    for field in dataclasses.fields(RunConfig):
-        flag = "--" + field.name.replace("_", "-")
-        parser.add_argument(flag, dest=f"cfg_{field.name}", metavar="VALUE", default=None)
+    for key in _HINTS:
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=f"cfg_{key}", metavar="VALUE", default=None)
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """defaults < config file < command-line flags, all validated at the end."""
+def build_run_config(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str | None]]:
+    """defaults < config file < command-line flags, all validated at the end;
+    returns the config and the PATH_KEYS locations (None where unset)."""
     values: dict[str, object] = {}
     if args.config:
         for key, raw in read_config_file(args.config).items():
             values[key] = _coerce(key, raw)
-    for field in dataclasses.fields(RunConfig):
-        raw = getattr(args, f"cfg_{field.name}", None)
+    for key in _HINTS:
+        raw = getattr(args, f"cfg_{key}", None)
         if raw is not None:
-            values[field.name] = _coerce(field.name, raw)
-    return RunConfig(**values).validate()
+            values[key] = _coerce(key, raw)
+    paths = {key: values.pop(key, None) for key in PATH_KEYS}
+    return RunConfig(**values).validate(), paths
 
 
 def _schema(config: RunConfig) -> TaskSchema:
@@ -128,9 +131,9 @@ def _schema(config: RunConfig) -> TaskSchema:
     )
 
 
-def _require(config: RunConfig, *keys: str) -> None:
+def _require(paths: dict[str, str | None], *keys: str) -> None:
     for key in keys:
-        if getattr(config, key) is None:
+        if paths[key] is None:
             flag = "--" + key.replace("_", "-")
             raise ConfigError(f"{key} is required (set it in the config file or via {flag})")
 
@@ -161,21 +164,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
-    _require(config, "train_path", "val_path", "checkpoint_path")
-    for path in (config.checkpoint_path, config.stats_path):
-        if path:
-            _check_output_path(path)
+    config, paths = build_run_config(args)
+    _require(paths, "train_path", "val_path", "checkpoint_path")
+    _check_output_path(paths["checkpoint_path"])
     schema = _schema(config)
-    train_eps = load_episodes(config.train_path, schema)
-    val_eps = load_episodes(config.val_path, schema)
+    train_eps = load_episodes(paths["train_path"], schema)
+    val_eps = load_episodes(paths["val_path"], schema)
     ckpt = train(config, train_eps, val_eps)
-    save_checkpoint(config.checkpoint_path, ckpt)
-    if config.stats_path:
-        save_stats(config.stats_path, ckpt.stats)
+    save_checkpoint(paths["checkpoint_path"], ckpt)
     print(
         f"train seed={config.seed} best_epoch={ckpt.epoch} "
-        f"{ckpt.metric_name}={ckpt.metric_value!r} checkpoint={config.checkpoint_path}"
+        f"{ckpt.metric_name}={ckpt.metric_value!r} checkpoint={paths['checkpoint_path']}"
     )
     return EXIT_OK
 
@@ -207,8 +206,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    config = build_run_config(args)
-    _require(config, "train_path", "val_path", "test_path")
+    config, paths = build_run_config(args)
+    _require(paths, "train_path", "val_path", "test_path")
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as e:
@@ -218,17 +217,16 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     for seed in seeds:  # before any data is loaded or model trained
         dataclasses.replace(config, seed=seed).validate()
     schema = _schema(config)
-    train_eps = load_episodes(config.train_path, schema)
-    val_eps = load_episodes(config.val_path, schema)
-    test_eps = load_episodes(config.test_path, schema)
+    train_eps = load_episodes(paths["train_path"], schema)
+    val_eps = load_episodes(paths["val_path"], schema)
+    test_eps = load_episodes(paths["test_path"], schema)
 
     # switch matrix; toggles without effect on the chosen modality collapse away
     ts_embeds = [config.ts_embed] if config.modality == "txt" else TS_EMBEDS
     text_flags = [config.text_irregularity] if config.modality == "ts" else [True, False]
     for ts_embed, text_flag in itertools.product(ts_embeds, text_flags):
         variant = dataclasses.replace(config, ts_embed=ts_embed, text_irregularity=text_flag)
-        _, reports = run_seeds(variant, seeds, train_eps, val_eps, test_eps)
-        summary = aggregate_reports(reports)
+        summary = aggregate_reports(run_seeds(variant, seeds, train_eps, val_eps, test_eps))
         cells = " ".join(
             f"{key}={mean:.4f}±{std:.4f}" for key, (mean, std) in summary.items()
         )

@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +27,6 @@ __all__ = [
     "load_episodes",
     "save_episodes",
     "normalize",
-    "save_stats",
-    "load_stats",
     "stats_record",
     "stats_from_record",
     "truncate_notes",
@@ -312,7 +309,7 @@ def _normalize_episode(ep: Episode, stats: NormalizationStats) -> Episode:
 
 
 def stats_record(stats: NormalizationStats) -> dict:
-    """The JSON form of ``stats`` that stats files and checkpoint meta hold."""
+    """The JSON form of ``stats`` that checkpoint meta holds."""
     return {
         "min": stats.feature_min.tolist(),
         "max": stats.feature_max.tolist(),
@@ -323,24 +320,13 @@ def stats_record(stats: NormalizationStats) -> dict:
 
 def stats_from_record(rec) -> NormalizationStats:
     """Inverse of ``stats_record``; a malformed record raises KeyError,
-    TypeError or ValueError, which each reader reports as its DataError."""
+    TypeError or ValueError, which ``load_checkpoint`` reports as a DataError."""
     return NormalizationStats(
         feature_min=np.asarray(rec["min"], dtype=np.float64),
         feature_max=np.asarray(rec["max"], dtype=np.float64),
         global_mean=np.asarray(rec["global_mean"], dtype=np.float64),
         alpha_hours=float(rec["alpha_hours"]),
     )
-
-
-def save_stats(path, stats: NormalizationStats) -> None:
-    Path(path).write_text(json.dumps(stats_record(stats)) + "\n", encoding="utf-8")
-
-
-def load_stats(path) -> NormalizationStats:
-    try:
-        return stats_from_record(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise DataError(f"malformed stats file {path}: {e}") from e
 
 
 def truncate_notes(ep: Episode, k: int) -> Episode:

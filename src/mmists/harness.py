@@ -139,10 +139,11 @@ def _check_index(index: list, layout: list) -> None:
         raise DataError(f"checkpoint index lists {listed} where the model has {built}")
 
 
-# Version 3: line 1 is the JSON meta, whose "index" of (name, shape) pairs
-# orders the parameters and whose "crc32" checks the rest of the file, every
-# parameter value as one little-endian float64 buffer.
-CHECKPOINT_FORMAT = 3
+# Version 4: line 1 is the JSON meta, whose "config" names no file (equal
+# runs write equal bytes wherever their files live), whose "index" of (name,
+# shape) pairs orders the parameters and whose "crc32" checks the rest of the
+# file, every parameter value as one little-endian float64 buffer.
+CHECKPOINT_FORMAT = 4
 _MAX_META_BYTES = 1 << 20  # a file with no newline within this many bytes is not a checkpoint
 
 
@@ -373,15 +374,13 @@ def run_seeds(
     train_episodes: list[Episode],
     val_episodes: list[Episode],
     test_episodes: list[Episode],
-) -> tuple[list[Checkpoint], list[EvalReport]]:
-    """Train one model per seed and evaluate each on the test split."""
-    checkpoints = []
-    reports = []
-    for seed in seeds:
-        ckpt = train(dataclasses.replace(config, seed=seed), train_episodes, val_episodes)
-        checkpoints.append(ckpt)
-        reports.append(evaluate(ckpt, test_episodes))
-    return checkpoints, reports
+) -> list[EvalReport]:
+    """Train one model per seed and evaluate each on the test split; each
+    checkpoint is dropped once evaluated."""
+    return [
+        evaluate(train(dataclasses.replace(config, seed=seed), train_episodes, val_episodes), test_episodes)
+        for seed in seeds
+    ]
 
 
 def aggregate_reports(reports: list[EvalReport]) -> dict[str, tuple[float, float]]:

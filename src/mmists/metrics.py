@@ -37,7 +37,7 @@ def _check_pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     if s.shape != y.shape:
         raise ValueError(f"scores and labels disagree in length: {s.shape} vs {y.shape}")
     if not np.isfinite(s).all():
-        # NaN == NaN is False, so ranking ties among NaNs would never end
+        # NaN compares unequal to itself and ranks nowhere
         raise ValueError(f"{int(np.sum(~np.isfinite(s)))} non-finite scores")
     return s, y
 
@@ -78,17 +78,11 @@ def auroc(scores, labels) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both classes present")
-    # average ranks (1-based) with ties sharing their midpoint rank
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s))
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and sorted_s[j] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)  # mean of ranks i+1..j
-        i = j
+    # average ranks (1-based): a tie group at sorted positions start..end-1
+    # shares the mean of ranks start+1..end
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)
+    ranks = (0.5 * (end - counts + 1 + end))[group]
     pos_rank_sum = float(ranks[y == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

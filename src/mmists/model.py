@@ -79,7 +79,8 @@ TASKS = ("binary", "multilabel")
 
 @dataclass
 class RunConfig:
-    """Everything a run needs: architecture, optimization, and file locations."""
+    """The model and its training (architecture, optimization); no file paths,
+    so a checkpoint's meta does not depend on where a run's files live."""
 
     seed: int = 0
     task: str = "binary"
@@ -105,11 +106,6 @@ class RunConfig:
     epochs: int | None = None  # None resolves to 20 for ts-only runs, 6 otherwise
     grad_clip: float | None = None
     pos_weight: float = 1.0
-    train_path: str | None = None
-    val_path: str | None = None
-    test_path: str | None = None
-    stats_path: str | None = None
-    checkpoint_path: str | None = None
 
     def resolved_epochs(self) -> int:
         if self.epochs is not None:

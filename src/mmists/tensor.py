@@ -96,12 +96,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def node_id(self) -> int | None:
-        """Node handle on the tape that computed this tensor; None for a
-        tensor made outside a tape (a leaf's node is ``Tape.node_of``)."""
-        return self._node
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 

@@ -117,6 +117,26 @@ def auroc_pairs(scores, labels) -> float:
     return total / (len(pos) * len(neg))
 
 
+def auroc_tie_loop(scores, labels) -> float:
+    """Mann-Whitney rank sum, each tie group found by a scan over the sorted
+    scores and given the mean of its ranks."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    n_pos, n_neg = int(np.sum(y == 1)), int(np.sum(y == 0))
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(len(s))
+    sorted_s = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j < len(s) and sorted_s[j] == sorted_s[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + 1 + j)  # mean of ranks i+1..j
+        i = j
+    pos_rank_sum = float(ranks[y == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def aupr_prefix(scores, labels) -> float:
     """Average precision by walking descending-score prefixes, equal scores grouped."""
     scores = np.asarray(scores, dtype=np.float64)

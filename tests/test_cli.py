@@ -74,13 +74,29 @@ def test_config_file_rejects_bare_words(tmp_path):
 
 
 def test_flag_overrides_config_file(tmp_path):
-    path = write_config(tmp_path, extra={"lr": "0.1"})
+    path = write_config(tmp_path, extra={"lr": "0.1", "train_path": "a.jsonl", "val_path": "b.jsonl"})
     parser = build_parser()
-    args = parser.parse_args(["train", "--config", str(path), "--lr", "0.002", "--seed", "7"])
-    config = build_run_config(args)
+    args = parser.parse_args(["train", "--config", str(path), "--lr", "0.002", "--seed", "7",
+                              "--val-path", "c.jsonl"])
+    config, paths = build_run_config(args)
     assert config.lr == 0.002  # flag wins
     assert config.alpha == 6  # file wins over the dataclass default
     assert config.seed == 7
+    assert paths == {"train_path": "a.jsonl", "val_path": "c.jsonl", "test_path": None, "checkpoint_path": None}
+
+
+def test_stats_path_is_no_longer_a_setting(tmp_path, dataset, capsys):
+    train_path, val_path, _ = dataset
+    argv = ["train", "--seed", "0", "--train-path", str(train_path), "--val-path", str(val_path),
+            "--checkpoint-path", str(tmp_path / "x.ckpt")]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--config", str(write_config(tmp_path)), "--stats-path", str(tmp_path / "stats.json")])
+    assert err.value.code == 2
+    capsys.readouterr()
+    cfg = write_config(tmp_path, extra={"stats_path": str(tmp_path / "stats.json")})
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert "unknown config key 'stats_path'" in one_error_line(capsys, "config error: ")
+    assert not (tmp_path / "x.ckpt").exists() and not (tmp_path / "stats.json").exists()
 
 
 def test_unknown_config_key_is_config_error(tmp_path):
@@ -175,6 +191,20 @@ def test_train_eval_predict_round_trip(tmp_path, dataset, capsys):
     assert all(len(r["scores"]) == 1 and 0.0 <= r["scores"][0] <= 1.0 for r in rows)
     test_eps = load_episodes(test_path, TaskSchema(n_features=4, n_classes=1, text_dim=16))
     assert [r["episode_id"] for r in rows] == [ep.episode_id for ep in test_eps]
+
+
+def test_checkpoint_bytes_do_not_depend_on_file_names(tmp_path, dataset):
+    train_path, val_path, _ = dataset
+    renamed = tmp_path / "copy-of-train.jsonl"
+    renamed.write_bytes(train_path.read_bytes())
+    (tmp_path / "elsewhere").mkdir()
+    written = []
+    for data, ckpt_path in [(train_path, tmp_path / "a.ckpt"), (renamed, tmp_path / "elsewhere" / "b.ckpt")]:
+        assert main(["train", "--config", str(write_config(tmp_path)), "--seed", "0",
+                     "--train-path", str(data), "--val-path", str(val_path),
+                     "--checkpoint-path", str(ckpt_path)]) == 0
+        written.append(ckpt_path.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_train_requires_seed_flag(tmp_path, dataset):
@@ -272,19 +302,15 @@ def test_checkpoint_path_that_is_a_directory_exits_3(tmp_path, dataset, capsys, 
     _one_line_error(capsys, "data error:")
 
 
-@pytest.mark.parametrize(
-    "flag, where",
-    [("--checkpoint-path", "missing-dir"), ("--stats-path", "directory"), ("--stats-path", "missing-dir")],
-)
-def test_unwritable_train_output_exits_3_before_loading_data(tmp_path, dataset, capsys, monkeypatch, flag, where):
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_train_output_exits_3_before_loading_data(tmp_path, dataset, capsys, monkeypatch, where):
     train_path, val_path, _ = dataset
     monkeypatch.setattr(cli, "load_episodes", _never_reached)
     monkeypatch.setattr(cli, "train", _never_reached)
     target = tmp_path if where == "directory" else tmp_path / "absent" / "out"
-    args = {"--checkpoint-path": str(tmp_path / "x.ckpt"), flag: str(target)}
     rc = main(["train", "--config", str(write_config(tmp_path)), "--seed", "0",
                "--train-path", str(train_path), "--val-path", str(val_path),
-               *[item for pair in args.items() for item in pair]])
+               "--checkpoint-path", str(target)])
     assert rc == 3
     _one_line_error(capsys, "data error: output path")
 

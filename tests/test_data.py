@@ -23,11 +23,11 @@ from mmists.data import (
     generate_synthetic_with_trace,
     group_by_feature,
     load_episodes,
-    load_stats,
     normalize,
     note_matrix,
     save_episodes,
-    save_stats,
+    stats_from_record,
+    stats_record,
     toy_text_encode,
     truncate_notes,
 )
@@ -381,16 +381,14 @@ class TestNormalize:
         _, stats = normalize([ep], alpha_hours=10.0)
         assert stats.global_mean[0] == pytest.approx(2.0 / 3.0)
 
-    def test_stats_file_round_trip(self, tmp_path):
+    def test_stats_record_round_trips_through_json(self):
         stats = NormalizationStats(
             feature_min=np.array([0.0, -1.5]),
             feature_max=np.array([2.0, 3.25]),
             global_mean=np.array([0.5, 0.125]),
             alpha_hours=48.0,
         )
-        path = tmp_path / "stats.json"
-        save_stats(path, stats)
-        back = load_stats(path)
+        back = stats_from_record(json.loads(json.dumps(stats_record(stats))))
         assert_array_equal(back.feature_min, stats.feature_min)
         assert_array_equal(back.feature_max, stats.feature_max)
         assert_array_equal(back.global_mean, stats.global_mean)

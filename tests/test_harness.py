@@ -355,7 +355,7 @@ def test_checkpoint_is_one_parameter_buffer_with_reproducible_bytes(tmp_path, sp
     assert first.read_bytes() == second.read_bytes()
     arrays = checkpoint_arrays(ckpt)
     meta, params = read_checkpoint_file(first)
-    assert meta["format_version"] == 3
+    assert meta["format_version"] == 4
     assert [name for name, _ in meta["index"]] == list(arrays)
     assert meta["crc32"] == zlib.crc32(params)
     assert params.size == sum(a.size for a in arrays.values())  # exactly 8 bytes a value after line 1
@@ -397,6 +397,23 @@ def test_version_2_checkpoint_exits_3(tmp_path, splits, capsys):
     save_episodes(data, te)
     assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 3
     assert capsys.readouterr().err.startswith("data error: unreadable checkpoint")
+
+
+def test_version_3_checkpoint_exits_3_naming_both_versions(tmp_path, splits, capsys):
+    from mmists.cli import main
+
+    tr, va, te = splits
+    path = tmp_path / "v3.ckpt"
+    save_checkpoint(path, train(small_config(epochs=0), tr, va))
+    meta, params = read_checkpoint_file(path)
+    meta["format_version"] = 3  # whose config also held the run's file paths
+    meta["config"].update(dict.fromkeys(["train_path", "val_path", "test_path", "stats_path", "checkpoint_path"]))
+    write_checkpoint_file(path, meta, params)
+    data = tmp_path / "test.jsonl"
+    save_episodes(data, te)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: unreadable checkpoint") and "format version 3, this release reads 4" in err
 
 
 @pytest.mark.parametrize(
@@ -586,7 +603,7 @@ def test_aggregate_matches_hand_computation():
 def test_run_seeds_is_deterministic(splits):
     tr, va, te = splits
     config = small_config(epochs=1)
-    _, first = run_seeds(config, [0, 1], tr, va, te)
-    _, second = run_seeds(config, [0, 1], tr, va, te)
+    first = run_seeds(config, [0, 1], tr, va, te)
+    second = run_seeds(config, [0, 1], tr, va, te)
     assert [r.auroc for r in first] == [r.auroc for r in second]
     assert len(first) == 2

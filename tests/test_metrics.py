@@ -15,7 +15,7 @@ from mmists.metrics import (
     macro_f1,
     report_to_line,
 )
-from oracles import aupr_prefix, auroc_pairs, f1_by_hand
+from oracles import aupr_prefix, auroc_pairs, auroc_tie_loop, f1_by_hand
 
 
 # ------------------------------------------------------------------ F1
@@ -65,7 +65,7 @@ def test_auroc_single_class_raises():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_scores_raise_instead_of_hanging(bad):
-    # run in a thread: a regression in the tie loop would spin forever
+    # run in a thread: a tie-ranking loop that compared NaNs could spin forever
     errors = []
 
     def run():
@@ -92,6 +92,24 @@ def test_auroc_matches_pair_oracle():
         # quantized scores force plenty of ties
         scores = np.round(rng.random(n), 1)
         assert auroc(scores, labels) == pytest.approx(auroc_pairs(scores, labels), abs=1e-9)
+
+
+def test_auroc_equals_the_tie_loop_bit_for_bit():
+    # the same rank sum as a scan over sorted scores, on continuous,
+    # quantized and signed-zero inputs (-0.0 ties 0.0)
+    rng = np.random.default_rng(29)
+    for trial in range(600):
+        n = int(rng.integers(2, 120))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        kind = trial % 3
+        if kind == 0:
+            scores = rng.random(n)
+        elif kind == 1:
+            scores = np.round(rng.random(n), 1)
+        else:
+            scores = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=n)
+        assert auroc(scores, labels) == auroc_tie_loop(scores, labels)
 
 
 def test_auroc_invariant_under_monotone_transform():
