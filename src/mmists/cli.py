@@ -2,13 +2,14 @@
 
 Run settings live in a flat ``key = value`` config file whose keys are the
 RunConfig fields and the run's file locations (PATH_KEYS, which RunConfig does
-not hold); every key can be overridden by the matching ``--key value`` flag.
+not hold). The matching ``--key value`` flag overrides a key; a command has
+flags only for the paths it reads (others exit 2), but one file serves both.
 Exit codes: 0 success, 2 configuration error (an invalid value, or a
 ``--config`` file that is missing, a directory, unreadable or not UTF-8),
-3 data error (bad data, or any other named path that cannot be read or
-written), 4 numerical failure. Each failure prints one line to stderr. An
-output path that is a directory, or whose directory does not exist, is
-rejected before any data is loaded or model trained.
+3 data error (bad data, any other named path that cannot be read or
+written, or running out of memory), 4 numerical failure. Each failure prints
+one line to stderr. An output path that is a directory, or whose directory
+does not exist, is rejected before any data is loaded or model trained.
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ def read_config_file(path) -> dict[str, str]:
     return out
 
 
-def _add_runconfig_flags(parser: argparse.ArgumentParser) -> None:
+def _add_runconfig_flags(parser: argparse.ArgumentParser, *paths: str) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
-    for key in _HINTS:
+    for key in [*typing.get_type_hints(RunConfig), *paths]:  # only the paths the command reads
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=f"cfg_{key}", metavar="VALUE", default=None)
 
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     tr = sub.add_parser("train", help="train and write the best-validation checkpoint")
-    _add_runconfig_flags(tr)
+    _add_runconfig_flags(tr, "train_path", "val_path", "checkpoint_path")
     tr.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="score a dataset with a saved checkpoint")
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_predict)
 
     ab = sub.add_parser("ablate", help="run the embedding/text-handling switch matrix")
-    _add_runconfig_flags(ab)
+    _add_runconfig_flags(ab, "train_path", "val_path", "test_path")
     ab.add_argument("--seeds", default="0,1,2", help="comma-separated training seeds")
     ab.set_defaults(func=cmd_ablate)
 
@@ -291,8 +292,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, UndefinedMetricError, OSError) as e:
-        print(f"data error: {e}", file=sys.stderr)
+    except (DataError, UndefinedMetricError, OSError, MemoryError) as e:
+        print(f"data error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, attention, concat, gather_rows, layer_norm, linear, relu, reshape
+from .tensor import ParamInit, ShapeError, Tensor, attention, concat, gather_rows, layer_norm, linear, relu, reshape
 
 __all__ = [
     "AttentionParams",
@@ -106,57 +106,56 @@ class ClassifierParams:
     b_out: Tensor
 
 
-def init_layer_norm(d: int) -> LayerNormParams:
-    return LayerNormParams(gain=Tensor(np.ones(d)), bias=Tensor(np.zeros(d)))
+def init_layer_norm(init: ParamInit, d: int) -> LayerNormParams:
+    return LayerNormParams(gain=init.full(1.0, (d,)), bias=init.full(0.0, (d,)))
 
 
-def init_attention_params(rng: np.random.Generator, d_h: int) -> AttentionParams:
-    scale = d_h**-0.5
+def init_attention_params(init: ParamInit, d_h: int) -> AttentionParams:
     def w():
-        return Tensor(rng.normal(0.0, scale, size=(d_h, d_h)))
+        return init.normal(d_h**-0.5, (d_h, d_h))
     def b():
-        return Tensor(np.zeros(d_h))
+        return init.full(0.0, (d_h,))
     return AttentionParams(
-        ln=init_layer_norm(d_h),
+        ln=init_layer_norm(init, d_h),
         w_q=w(), b_q=b(), w_k=w(), b_k=b(), w_v=w(), b_v=b(), w_o=w(), b_o=b(),
     )
 
 
-def init_ffn_params(rng: np.random.Generator, d_h: int, d_ffn: int | None = None) -> FfnParams:
+def init_ffn_params(init: ParamInit, d_h: int, d_ffn: int | None = None) -> FfnParams:
     d_ffn = 4 * d_h if d_ffn is None else d_ffn
     return FfnParams(
-        ln=init_layer_norm(d_h),
-        w_in=Tensor(rng.normal(0.0, d_h**-0.5, size=(d_h, d_ffn))),
-        b_in=Tensor(np.zeros(d_ffn)),
-        w_out=Tensor(rng.normal(0.0, d_ffn**-0.5, size=(d_ffn, d_h))),
-        b_out=Tensor(np.zeros(d_h)),
+        ln=init_layer_norm(init, d_h),
+        w_in=init.normal(d_h**-0.5, (d_h, d_ffn)),
+        b_in=init.full(0.0, (d_ffn,)),
+        w_out=init.normal(d_ffn**-0.5, (d_ffn, d_h)),
+        b_out=init.full(0.0, (d_h,)),
     )
 
 
-def init_fusion_layer(rng: np.random.Generator, d_h: int) -> FusionLayerParams:
+def init_fusion_layer(init: ParamInit, d_h: int) -> FusionLayerParams:
     return FusionLayerParams(
-        ts_self=init_attention_params(rng, d_h),
-        txt_self=init_attention_params(rng, d_h),
-        ts_cross=init_attention_params(rng, d_h),
-        txt_cross=init_attention_params(rng, d_h),
-        ts_ffn=init_ffn_params(rng, d_h),
-        txt_ffn=init_ffn_params(rng, d_h),
+        ts_self=init_attention_params(init, d_h),
+        txt_self=init_attention_params(init, d_h),
+        ts_cross=init_attention_params(init, d_h),
+        txt_cross=init_attention_params(init, d_h),
+        ts_ffn=init_ffn_params(init, d_h),
+        txt_ffn=init_ffn_params(init, d_h),
     )
 
 
-def init_single_layer(rng: np.random.Generator, d_h: int) -> SingleLayerParams:
+def init_single_layer(init: ParamInit, d_h: int) -> SingleLayerParams:
     return SingleLayerParams(
-        self_attn=init_attention_params(rng, d_h),
-        ffn=init_ffn_params(rng, d_h),
+        self_attn=init_attention_params(init, d_h),
+        ffn=init_ffn_params(init, d_h),
     )
 
 
-def init_classifier(rng: np.random.Generator, d_in: int, d_h: int, n_out: int) -> ClassifierParams:
+def init_classifier(init: ParamInit, d_in: int, d_h: int, n_out: int) -> ClassifierParams:
     return ClassifierParams(
-        w_hidden=Tensor(rng.normal(0.0, d_in**-0.5, size=(d_in, d_h))),
-        b_hidden=Tensor(np.zeros(d_h)),
-        w_out=Tensor(rng.normal(0.0, d_h**-0.5, size=(d_h, n_out))),
-        b_out=Tensor(np.zeros(n_out)),
+        w_hidden=init.normal(d_in**-0.5, (d_in, d_h)),
+        b_hidden=init.full(0.0, (d_h,)),
+        w_out=init.normal(d_h**-0.5, (d_h, n_out)),
+        b_out=init.full(0.0, (n_out,)),
     )
 
 

@@ -5,9 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .tensor import Tensor, concat, linear, reduce_mean, relu, sigmoid
+from .tensor import ParamInit, Tensor, concat, linear, reduce_mean, relu, sigmoid
 
 __all__ = ["GATE_LEVELS", "GateParams", "init_gate_params", "compute_gate", "utde_embed"]
 
@@ -25,7 +23,7 @@ class GateParams:
     b_out: Tensor  # [out_width]
 
 
-def init_gate_params(rng: np.random.Generator, level: str, d_h: int) -> GateParams:
+def init_gate_params(init: ParamInit, level: str, d_h: int) -> GateParams:
     """Output weights start at zero so the initial gate is exactly 0.5."""
     if level not in GATE_LEVELS:
         raise ValueError(f"gate level must be one of {GATE_LEVELS}, got {level!r}")
@@ -33,10 +31,10 @@ def init_gate_params(rng: np.random.Generator, level: str, d_h: int) -> GatePara
     out_width = d_h if level == "hidden" else 1
     return GateParams(
         level=level,
-        w_hidden=Tensor(rng.normal(0.0, in_width**-0.5, size=(in_width, d_h))),
-        b_hidden=Tensor(np.zeros(d_h)),
-        w_out=Tensor(np.zeros((d_h, out_width))),
-        b_out=Tensor(np.zeros(out_width)),
+        w_hidden=init.normal(in_width**-0.5, (in_width, d_h)),
+        b_hidden=init.full(0.0, (d_h,)),
+        w_out=init.full(0.0, (d_h, out_width)),
+        b_out=init.full(0.0, (out_width,)),
     )
 
 

@@ -47,13 +47,13 @@ from .model import (
     ModelParams,
     PreparedEpisode,
     RunConfig,
+    build_model,
     collate,
     forward,
     init_model,
-    model_skeleton,
     prepare_episode,
 )
-from .tensor import Tape, adam_init, adam_step, bce_with_logits, buffer_views
+from .tensor import ParamInit, Tape, adam_init, adam_step, bce_with_logits, buffer_views
 from .tensor import _sigmoid as _sigmoid_np
 
 log = logging.getLogger(__name__)
@@ -123,9 +123,11 @@ class Checkpoint:
 
     def build_params(self) -> ModelParams:
         """The config's model viewing ``buffer`` itself; DataError if the index disagrees."""
-        params = model_skeleton(self.config)
+        views = ParamInit(self.buffer, fill=False)
+        params = build_model(self.config, views)
         _check_index(self.index, [(name, t.shape) for name, t in params.flat().items()])
-        params.adopt(self.buffer)
+        if views.size != self.buffer.size:
+            raise DataError(f"checkpoint buffer holds {self.buffer.size} values, the model {views.size}")
         return params
 
 

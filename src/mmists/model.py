@@ -48,7 +48,7 @@ from .mtand import (
     mtand_txt,
     pad_series,
 )
-from .tensor import Tensor, buffer_views, concat, layer_norm, linear, reshape
+from .tensor import ParamInit, Tensor, concat, layer_norm, linear, reshape
 
 __all__ = [
     "ConfigError",
@@ -57,6 +57,7 @@ __all__ = [
     "PreparedEpisode",
     "EpisodeBatch",
     "init_model",
+    "build_model",
     "prepare_episode",
     "collate",
     "forward",
@@ -194,14 +195,6 @@ class ModelParams:
     txt_head: ClassifierParams | None = None
     buffer: np.ndarray | None = None  # every value above, flat, in flat() order
 
-    def adopt(self, buffer: np.ndarray) -> None:
-        """Make ``buffer`` (1-d float64, covered whole) this model's values:
-        each tensor's ``data`` becomes the next view of it, in flat() order."""
-        tensors = list(self.flat().values())
-        for t, view in zip(tensors, buffer_views(buffer, [t.shape for t in tensors])):
-            t.data = view
-        self.buffer = buffer
-
     def flat(self) -> dict[str, Tensor]:
         """Stable name -> Tensor map of the built tensors; shared tensors
         appear once, under their first name."""
@@ -252,59 +245,52 @@ def _component_rng(seed: int, component: str) -> np.random.Generator:
 
 
 def init_model(config: RunConfig) -> ModelParams:
-    params = _build_model(config.validate(), lambda component: _component_rng(config.seed, component))
-    params.adopt(np.concatenate([t.data.reshape(-1) for t in params.flat().values()]))
-    return params
+    """The config's model, drawn into a buffer sized by a shapes-only build."""
+    layout = ParamInit(fill=False)
+    build_model(config.validate(), layout)
+    return build_model(config, ParamInit(np.empty(layout.size)))
 
 
-class _NoDraws:
-    """Stands in for a generator when every value will be overwritten: it
-    returns zeros of the requested size and draws no random numbers."""
+def build_model(c: RunConfig, init: ParamInit) -> ModelParams:
+    """The config's parameters, made by ``init`` in flat() order; when it
+    fills, each component draws from its own seeded generator."""
 
-    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        return np.zeros(size)
+    def drawing(component: str) -> ParamInit:
+        if init.fill:
+            init.rng = _component_rng(c.seed, component)
+        return init
 
-    uniform = normal
-
-
-def model_skeleton(config: RunConfig) -> ModelParams:
-    """The parameter structure of ``init_model(config)`` with placeholder
-    values and no buffer, for callers that ``adopt`` one themselves."""
-    return _build_model(config.validate(), lambda _component: _NoDraws())
-
-
-def _build_model(c: RunConfig, rng_for) -> ModelParams:
     ts_stream = c.modality in ("fused", "ts")
     txt_stream = c.modality in ("fused", "txt")
     ts_mtand = ts_stream and c.ts_embed != "imputation"
     txt_mtand = txt_stream and c.text_irregularity
-    p = ModelParams()
+    p = ModelParams(buffer=init.buffer)
     if ts_mtand or txt_mtand:
-        p.bank = init_time2vec_bank(rng_for("bank"), c.time_heads, c.d_timeembed)
+        p.bank = init_time2vec_bank(drawing("bank"), c.time_heads, c.d_timeembed)
     if ts_stream and c.ts_embed != "mtand":
         shape, scale = (c.conv_kernel, c.n_features, c.d_hidden), (c.conv_kernel * c.n_features) ** -0.5
-        p.conv_kernel = Tensor(rng_for("conv").normal(0.0, scale, size=shape))
-        p.conv_bias = Tensor(np.zeros(c.d_hidden))
+        p.conv_kernel = drawing("conv").normal(scale, shape)
+        p.conv_bias = init.full(0.0, (c.d_hidden,))
     if ts_mtand:
-        p.ts_interp = init_mtand_params(rng_for("ts_interp"), p.bank, c.n_features, c.d_hidden)
+        p.ts_interp = init_mtand_params(drawing("ts_interp"), p.bank, c.n_features, c.d_hidden)
     if txt_mtand:
-        p.txt_interp = init_mtand_params(rng_for("txt_interp"), p.bank, c.text_dim, c.d_hidden)
+        p.txt_interp = init_mtand_params(drawing("txt_interp"), p.bank, c.text_dim, c.d_hidden)
     if ts_stream and c.ts_embed == "utde":
-        p.gate = init_gate_params(rng_for("gate"), c.gate_level, c.d_hidden)
+        p.gate = init_gate_params(drawing("gate"), c.gate_level, c.d_hidden)
     if txt_stream and not c.text_irregularity:
-        p.note_proj_w = Tensor(rng_for("note_proj").normal(0.0, c.text_dim**-0.5, size=(c.text_dim, c.d_hidden)))
-        p.note_proj_b = Tensor(np.zeros(c.d_hidden))
+        p.note_proj_w = drawing("note_proj").normal(c.text_dim**-0.5, (c.text_dim, c.d_hidden))
+        p.note_proj_b = init.full(0.0, (c.d_hidden,))
     if c.modality == "fused":
-        fusion_rng = rng_for("fusion")
-        p.fusion_layers = [init_fusion_layer(fusion_rng, c.d_hidden) for _ in range(c.fusion_layers)]
-        p.fused_ln_ts = init_layer_norm(c.d_hidden)
-        p.fused_ln_txt = init_layer_norm(c.d_hidden)
-        p.fused_head = init_classifier(rng_for("fused_head"), 2 * c.d_hidden, c.d_hidden, c.n_classes)
+        fusion = drawing("fusion")
+        p.fusion_layers = [init_fusion_layer(fusion, c.d_hidden) for _ in range(c.fusion_layers)]
+        p.fused_ln_ts = init_layer_norm(init, c.d_hidden)
+        p.fused_ln_txt = init_layer_norm(init, c.d_hidden)
+        p.fused_head = init_classifier(drawing("fused_head"), 2 * c.d_hidden, c.d_hidden, c.n_classes)
     else:  # ts_stack, ts_ln, ts_head or their txt counterparts
-        m, stack_rng = c.modality, rng_for(f"{c.modality}_stack")
-        setattr(p, f"{m}_stack", [init_single_layer(stack_rng, c.d_hidden) for _ in range(c.fusion_layers)])
-        setattr(p, f"{m}_ln", init_layer_norm(c.d_hidden))
-        setattr(p, f"{m}_head", init_classifier(rng_for(f"{m}_head"), c.d_hidden, c.d_hidden, c.n_classes))
+        m, stack = c.modality, drawing(f"{c.modality}_stack")
+        setattr(p, f"{m}_stack", [init_single_layer(stack, c.d_hidden) for _ in range(c.fusion_layers)])
+        setattr(p, f"{m}_ln", init_layer_norm(init, c.d_hidden))
+        setattr(p, f"{m}_head", init_classifier(drawing(f"{m}_head"), c.d_hidden, c.d_hidden, c.n_classes))
     return p
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imputation import ReferenceGrid
-from .tensor import Tensor, linear, segment_time_attention
+from .tensor import ParamInit, Tensor, linear, segment_time_attention
 
 __all__ = [
     "Time2VecBank",
@@ -94,27 +94,28 @@ def pad_series(episodes: Sequence[list[tuple[np.ndarray, np.ndarray]]]) -> Padde
     return PaddedSeries(times, values, mask)
 
 
-def init_time2vec_bank(rng: np.random.Generator, n_heads: int, d_v: int) -> Time2VecBank:
+def init_time2vec_bank(init: ParamInit, n_heads: int, d_v: int) -> Time2VecBank:
     """Periodic dims cover 1-10 cycles per unit window; linear dim starts as identity."""
     if d_v < 2:
         raise ValueError(f"time embedding needs >= 2 dims (linear + periodic), got {d_v}")
-    omega = rng.uniform(2.0 * np.pi, 20.0 * np.pi, size=(n_heads, d_v))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=(n_heads, d_v))
-    omega[:, 0] = 1.0
-    phi[:, 0] = 0.0
-    return Time2VecBank(omega=Tensor(omega), phi=Tensor(phi))
+    shape = (n_heads, d_v)
+    omega = init.tensor(shape, lambda r: r.uniform(2.0 * np.pi, 20.0 * np.pi, size=shape))
+    phi = init.tensor(shape, lambda r: r.uniform(0.0, 2.0 * np.pi, size=shape))
+    if init.fill:
+        omega.data[:, 0], phi.data[:, 0] = 1.0, 0.0
+    return Time2VecBank(omega=omega, phi=phi)
 
 
 def init_mtand_params(
-    rng: np.random.Generator, bank: Time2VecBank, d_in: int, d_h: int
+    init: ParamInit, bank: Time2VecBank, d_in: int, d_h: int
 ) -> MtandParams:
     v, d_v = bank.n_heads, bank.d_v
     return MtandParams(
         bank=bank,
-        w_query=Tensor(rng.normal(0.0, d_v**-0.5, size=(v, d_v, d_v))),
-        w_key=Tensor(rng.normal(0.0, d_v**-0.5, size=(v, d_v, d_v))),
-        w_out=Tensor(rng.normal(0.0, (v * d_in) ** -0.5, size=(v * d_in, d_h))),
-        b_out=Tensor(np.zeros(d_h)),
+        w_query=init.normal(d_v**-0.5, (v, d_v, d_v)),
+        w_key=init.normal(d_v**-0.5, (v, d_v, d_v)),
+        w_out=init.normal((v * d_in) ** -0.5, (v * d_in, d_h)),
+        b_out=init.full(0.0, (d_h,)),
     )
 
 

@@ -10,8 +10,9 @@ tapes. A tape keeps its leaves (the Tensors it reads but did not compute, such
 as parameters) in its own table and never writes to them, so one parameter can
 be read by several threads' tapes at once.
 
-``buffer_views`` cuts one flat buffer into consecutive shaped views. Adam
-sweeps the model's flat parameter buffer, its gradient and moments in
+``ParamInit`` makes parameter tensors as consecutive views of one flat
+buffer; ``buffer_views`` cuts a flat buffer into consecutive shaped views.
+Adam sweeps the model's flat parameter buffer, its gradient and moments in
 cache-sized chunks.
 """
 
@@ -29,6 +30,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "AdamState",
+    "ParamInit",
     "buffer_views",
     "adam_init",
     "adam_step",
@@ -797,6 +799,37 @@ def buffer_views(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[
         raise ShapeError(f"shapes cover {sum(sizes)} values, the buffer holds {buffer.size}")
     ends = np.cumsum([0] + sizes).tolist()
     return [buffer[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
+
+
+class ParamInit:
+    """Makes parameter Tensors as consecutive views of one flat ``buffer``, in
+    the order they are made; ``size`` counts their values. With ``fill``, each
+    view (or, with no buffer, an array of its own) gets ``draw(rng)``.
+    Without, the views keep the buffer's values, and past its end, or with no
+    buffer, tensors view one scratch array: only their shapes are real."""
+
+    def __init__(self, buffer: np.ndarray | None = None, rng=None, fill: bool = True) -> None:
+        self.buffer, self.rng, self.fill, self.size, self._scratch = buffer, rng, fill, 0, np.empty(0)
+
+    def tensor(self, shape: tuple[int, ...], draw: Callable) -> Tensor:
+        n = math.prod(shape)
+        start, self.size = self.size, self.size + n
+        if self.buffer is not None and self.size <= self.buffer.size:
+            data = self.buffer[start : self.size].reshape(shape)
+        elif self.fill:
+            data = np.empty(shape)
+        else:
+            self._scratch = self._scratch if self._scratch.size >= n else np.empty(n)
+            data = self._scratch[:n].reshape(shape)
+        if self.fill:
+            data[...] = draw(self.rng)
+        return Tensor(data)
+
+    def normal(self, scale: float, shape: tuple[int, ...]) -> Tensor:
+        return self.tensor(shape, lambda rng: rng.normal(0.0, scale, size=shape))
+
+    def full(self, value: float, shape: tuple[int, ...]) -> Tensor:
+        return self.tensor(shape, lambda _rng: value)
 
 
 # Adam's moment decay rates and denominator floor

@@ -207,3 +207,104 @@ def decode_note_bit(episode, direction: np.ndarray) -> int:
     """Plug-in decoder: sign of the mean projection onto the planted direction."""
     projections = [float(np.dot(n.embedding, direction)) for n in episode.notes]
     return int(np.mean(projections) > 0.0)
+
+
+# ---------------------------------------------------------------- initialization
+
+# the component ids that seed each component's generator, as [seed, id]
+_INIT_COMPONENT_IDS = {
+    "bank": 1, "conv": 2, "ts_interp": 3, "txt_interp": 4, "gate": 5, "note_proj": 6,
+    "fusion": 7, "fused_head": 8, "ts_stack": 9, "ts_head": 10, "txt_stack": 11, "txt_head": 12,
+}
+
+
+def init_buffer_by_concatenation(config) -> np.ndarray:
+    """A model's initial parameter buffer built the first way: every tensor
+    drawn (or filled) into an array of its own, component by component, each
+    component from a generator seeded by (seed, component id), then all
+    concatenated in ``ModelParams.flat()`` order."""
+    c, d = config, config.d_hidden
+    parts: list[np.ndarray] = []
+
+    def rng(component):
+        return np.random.default_rng([c.seed, _INIT_COMPONENT_IDS[component]])
+
+    def normal(r, scale, shape):
+        parts.append(r.normal(0.0, scale, size=shape))
+
+    def const(value, shape):
+        parts.append(np.full(shape, value, dtype=np.float64))
+
+    def layer_norm():
+        const(1.0, d)
+        const(0.0, d)
+
+    def attention(r):
+        layer_norm()
+        for _ in range(4):  # q, k, v, output
+            normal(r, d**-0.5, (d, d))
+            const(0.0, d)
+
+    def ffn(r):
+        layer_norm()
+        normal(r, d**-0.5, (d, 4 * d))
+        const(0.0, 4 * d)
+        normal(r, (4 * d) ** -0.5, (4 * d, d))
+        const(0.0, d)
+
+    def classifier(r, d_in):
+        normal(r, d_in**-0.5, (d_in, d))
+        const(0.0, d)
+        normal(r, d**-0.5, (d, c.n_classes))
+        const(0.0, c.n_classes)
+
+    def mtand(r, d_in):
+        v, d_v = c.time_heads, c.d_timeembed
+        normal(r, d_v**-0.5, (v, d_v, d_v))
+        normal(r, d_v**-0.5, (v, d_v, d_v))
+        normal(r, (v * d_in) ** -0.5, (v * d_in, d))
+        const(0.0, d)
+
+    ts, txt = c.modality in ("fused", "ts"), c.modality in ("fused", "txt")
+    ts_mtand, txt_mtand = ts and c.ts_embed != "imputation", txt and c.text_irregularity
+    if ts_mtand or txt_mtand:
+        r, shape = rng("bank"), (c.time_heads, c.d_timeembed)
+        omega = r.uniform(2.0 * np.pi, 20.0 * np.pi, size=shape)
+        phi = r.uniform(0.0, 2.0 * np.pi, size=shape)
+        omega[:, 0], phi[:, 0] = 1.0, 0.0
+        parts += [omega, phi]
+    if ts and c.ts_embed != "mtand":
+        normal(rng("conv"), (c.conv_kernel * c.n_features) ** -0.5, (c.conv_kernel, c.n_features, d))
+        const(0.0, d)
+    if ts_mtand:
+        mtand(rng("ts_interp"), c.n_features)
+    if txt_mtand:
+        mtand(rng("txt_interp"), c.text_dim)
+    if ts and c.ts_embed == "utde":
+        width = 2 * d if c.gate_level == "hidden" else 1
+        out = d if c.gate_level == "hidden" else 1
+        normal(rng("gate"), width**-0.5, (width, d))
+        const(0.0, d)
+        const(0.0, (d, out))
+        const(0.0, out)
+    if txt and not c.text_irregularity:
+        normal(rng("note_proj"), c.text_dim**-0.5, (c.text_dim, d))
+        const(0.0, d)
+    if c.modality == "fused":
+        r = rng("fusion")
+        for _ in range(c.fusion_layers):
+            for _ in range(4):  # ts self, txt self, ts cross, txt cross
+                attention(r)
+            ffn(r)
+            ffn(r)
+        layer_norm()
+        layer_norm()
+        classifier(rng("fused_head"), 2 * d)
+    else:
+        r = rng(f"{c.modality}_stack")
+        for _ in range(c.fusion_layers):
+            attention(r)
+            ffn(r)
+        layer_norm()
+        classifier(rng(f"{c.modality}_head"), d)
+    return np.concatenate([p.reshape(-1) for p in parts])

@@ -43,6 +43,7 @@ from mmists.mtand import (
     pad_series,
 )
 from mmists.tensor import (
+    ParamInit,
     Tape,
     Tensor,
     attention,
@@ -374,8 +375,8 @@ def test_criterion_03_attention_oracles():
     for i in range(20):
         alpha = int(rng.integers(1, 5))
         l = int(rng.integers(1, 6))
-        bank = init_time2vec_bank(np.random.default_rng(500 + i), 2, 4)
-        params = init_mtand_params(np.random.default_rng(600 + i), bank, 1, 4)
+        bank = init_time2vec_bank(ParamInit(rng=np.random.default_rng(500 + i)), 2, 4)
+        params = init_mtand_params(ParamInit(rng=np.random.default_rng(600 + i)), bank, 1, 4)
         times = np.sort(rng.random(l))
         values = rng.normal(size=(l, 1))
         got = _head_interpolations(alpha, times, values, params)
@@ -394,7 +395,7 @@ def test_criterion_03_attention_oracles():
     for i in range(20):
         alpha = int(rng.integers(1, 5))
         l = int(rng.integers(1, 6))
-        p = init_attention_params(np.random.default_rng(700 + i), 8)
+        p = init_attention_params(ParamInit(rng=np.random.default_rng(700 + i)), 8)
         x = rng.normal(size=(alpha, 8))
         other = rng.normal(size=(l, 8))
 
@@ -496,8 +497,8 @@ def test_criterion_06_convexity_invariants():
     for i in range(10_000):
         l = int(rng.integers(1, 7))
         alpha = int(rng.integers(1, 5))
-        bank = init_time2vec_bank(np.random.default_rng(i), 2, 4)
-        params = init_mtand_params(np.random.default_rng(i + 1), bank, 1, 4)
+        bank = init_time2vec_bank(ParamInit(rng=np.random.default_rng(i)), 2, 4)
+        params = init_mtand_params(ParamInit(rng=np.random.default_rng(i + 1)), bank, 1, 4)
         times = np.sort(rng.random(l))
         values = rng.normal(size=(l, 1))
         out = _head_interpolations(alpha, times, values, params)
@@ -598,9 +599,9 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
 
 def test_criterion_11_shared_bank_gradient_additivity():
     rng = np.random.default_rng(11)
-    bank = init_time2vec_bank(np.random.default_rng(900), 2, 4)
-    ts_params = init_mtand_params(np.random.default_rng(901), bank, 2, 8)
-    txt_params = init_mtand_params(np.random.default_rng(902), bank, 8, 8)
+    bank = init_time2vec_bank(ParamInit(rng=np.random.default_rng(900)), 2, 4)
+    ts_params = init_mtand_params(ParamInit(rng=np.random.default_rng(901)), bank, 2, 8)
+    txt_params = init_mtand_params(ParamInit(rng=np.random.default_rng(902)), bank, 8, 8)
     grid = ReferenceGrid(3)
     series = pad_series([[
         (np.sort(rng.random(4)), rng.normal(size=4)),

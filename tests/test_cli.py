@@ -99,6 +99,23 @@ def test_stats_path_is_no_longer_a_setting(tmp_path, dataset, capsys):
     assert not (tmp_path / "x.ckpt").exists() and not (tmp_path / "stats.json").exists()
 
 
+@pytest.mark.parametrize("command, flag", [("train", "--test-path"), ("ablate", "--checkpoint-path")])
+def test_path_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(write_config(tmp_path)), "--seed", "0", flag, str(tmp_path / "x")])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_config_file_may_set_every_path_key(tmp_path):
+    """One config file serves train and ablate, so each accepts all four path keys."""
+    path_values = {key: f"{key}.jsonl" for key in cli.PATH_KEYS}
+    cfg = write_config(tmp_path, extra=path_values)
+    for command in ("train", "ablate"):
+        _, paths = build_run_config(build_parser().parse_args([command, "--config", str(cfg), "--seed", "0"]))
+        assert paths == path_values
+
+
 def test_unknown_config_key_is_config_error(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("learning_rate = 0.1\n", encoding="utf-8")
@@ -323,6 +340,19 @@ def test_out_in_a_missing_directory_exits_3_before_loading(tmp_path, dataset, ca
                "--out", str(tmp_path / "absent" / "out.jsonl")])
     assert rc == 3
     _one_line_error(capsys, "data error: output path")
+
+
+@pytest.mark.parametrize("message, line", [("", "data error: out of memory"),
+                                           ("Unable to allocate 8 EiB", "data error: Unable to allocate 8 EiB")])
+def test_memory_error_is_one_data_error_line_and_exit_3(tmp_path, dataset, capsys, monkeypatch, message, line):
+    """The loader raises MemoryError in place of allocating anything."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "load_checkpoint", out_of_memory)
+    rc = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(dataset[2])])
+    assert rc == 3
+    assert one_error_line(capsys, "data error: ") == line
 
 
 @pytest.fixture(scope="module")

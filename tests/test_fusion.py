@@ -19,7 +19,7 @@ from mmists.fusion import (
     self_attend,
     single_stack,
 )
-from mmists.tensor import ShapeError, Tensor, gather_rows
+from mmists.tensor import ParamInit, ShapeError, Tensor, gather_rows
 from oracles import layer_norm_oracle, multihead_attention_oracle
 
 D = 8
@@ -54,7 +54,7 @@ def oracle_ffn(x, p):
 class TestSelfAttend:
     def test_zero_output_projection_is_identity(self):
         rng = np.random.default_rng(60)
-        p = init_attention_params(rng, D)
+        p = init_attention_params(ParamInit(rng=rng), D)
         p.w_o.data[:] = 0.0
         x = rng.normal(size=(5, D))
         out = self_attend(Tensor(x), p, HEADS)
@@ -62,7 +62,7 @@ class TestSelfAttend:
 
     def test_single_position_gets_weight_one(self):
         rng = np.random.default_rng(61)
-        p = init_attention_params(rng, D)
+        p = init_attention_params(ParamInit(rng=rng), D)
         x = rng.normal(size=(1, D))
         out = self_attend(Tensor(x), p, HEADS).data
         n = layer_norm_oracle(x, p.ln.gain.data, p.ln.bias.data)
@@ -72,13 +72,13 @@ class TestSelfAttend:
 
     def test_matches_per_head_oracle(self):
         rng = np.random.default_rng(62)
-        p = init_attention_params(rng, D)
+        p = init_attention_params(ParamInit(rng=rng), D)
         x = rng.normal(size=(3, D))
         got = self_attend(Tensor(x), p, HEADS).data
         assert_allclose(got, oracle_attend(x, x, p, HEADS), atol=1e-9)
 
     def test_head_count_must_divide_width(self):
-        p = init_attention_params(np.random.default_rng(63), D)
+        p = init_attention_params(ParamInit(rng=np.random.default_rng(63)), D)
         with pytest.raises(ValueError):
             self_attend(Tensor(np.zeros((2, D))), p, 3)
 
@@ -86,7 +86,7 @@ class TestSelfAttend:
 class TestCrossAttend:
     def test_zero_other_stream_leaves_residual_only(self):
         rng = np.random.default_rng(64)
-        p = init_attention_params(rng, D)
+        p = init_attention_params(ParamInit(rng=rng), D)
         p.b_v.data[:] = 0.0
         p.b_o.data[:] = 0.0
         x = rng.normal(size=(4, D))
@@ -95,13 +95,13 @@ class TestCrossAttend:
 
     def test_other_equal_to_x_reduces_to_self_attention(self):
         rng = np.random.default_rng(65)
-        p = init_attention_params(rng, D)
+        p = init_attention_params(ParamInit(rng=rng), D)
         x = Tensor(rng.normal(size=(4, D)))
         assert_array_equal(cross_attend(x, x, p, HEADS).data, self_attend(x, p, HEADS).data)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(66)
-        p = init_attention_params(rng, D)
+        p = init_attention_params(ParamInit(rng=rng), D)
         x = rng.normal(size=(4, D))
         other = rng.normal(size=(5, D))
         got = cross_attend(Tensor(x), Tensor(other), p, HEADS).data
@@ -109,7 +109,7 @@ class TestCrossAttend:
 
     def test_key_mask_hides_rows(self):
         rng = np.random.default_rng(67)
-        p = init_attention_params(rng, D)
+        p = init_attention_params(ParamInit(rng=rng), D)
         x = rng.normal(size=(3, D))
         other = rng.normal(size=(4, D))
         mask = np.array([True, True, False, False])
@@ -125,7 +125,7 @@ class TestCrossAttend:
 class TestFusionStack:
     def test_zeroed_projections_make_identity(self):
         rng = np.random.default_rng(68)
-        layers = [init_fusion_layer(rng, D) for _ in range(3)]
+        layers = [init_fusion_layer(ParamInit(rng=rng), D) for _ in range(3)]
         for layer in layers:
             zero_out_projections(layer)
         z_ts = rng.normal(size=(4, D))
@@ -141,7 +141,7 @@ class TestFusionStack:
     def test_single_layer_matches_hand_rolled_oracle(self):
         rng = np.random.default_rng(69)
         d, heads = 4, 1
-        layer = init_fusion_layer(rng, d)
+        layer = init_fusion_layer(ParamInit(rng=rng), d)
         z_ts = rng.normal(size=(2, d))
         z_txt = rng.normal(size=(2, d))
         got_ts, got_txt = fusion_stack(Tensor(z_ts), Tensor(z_txt), [layer], heads)
@@ -154,7 +154,7 @@ class TestFusionStack:
 
     def test_shapes_preserved_through_layers(self):
         rng = np.random.default_rng(70)
-        layers = [init_fusion_layer(rng, D) for _ in range(2)]
+        layers = [init_fusion_layer(ParamInit(rng=rng), D) for _ in range(2)]
         out_ts, out_txt = fusion_stack(
             Tensor(rng.normal(size=(5, D))), Tensor(rng.normal(size=(5, D))), layers, HEADS
         )
@@ -164,7 +164,7 @@ class TestFusionStack:
     def test_cross_modal_influence(self):
         # perturbing the text stream must move the ts output already at layer 1
         rng = np.random.default_rng(71)
-        layer = init_fusion_layer(rng, D)
+        layer = init_fusion_layer(ParamInit(rng=rng), D)
         z_ts = Tensor(rng.normal(size=(4, D)))
         z_txt = rng.normal(size=(4, D))
         base, _ = fusion_stack(z_ts, Tensor(z_txt), [layer], HEADS)
@@ -177,7 +177,7 @@ class TestFusionStack:
     @pytest.mark.parametrize("rows", [(3, 1), (np.array([3, 0]), np.array([1, 2]))], ids=["int", "per-row"])
     def test_given_rows_return_the_full_stack_rows(self, rows):
         rng = np.random.default_rng(80)
-        layers = [init_fusion_layer(rng, D) for _ in range(2)]
+        layers = [init_fusion_layer(ParamInit(rng=rng), D) for _ in range(2)]
         z_ts = rng.normal(size=(2, 4, D))
         z_txt = rng.normal(size=(2, 3, D))
         mask = np.array([[True, True, False], [True, True, True]])
@@ -197,7 +197,7 @@ class TestSingleStack:
     @pytest.mark.parametrize("row", [2, np.array([0, 4])], ids=["int", "per-stream"])
     def test_given_row_returns_the_full_stack_row(self, row):
         rng = np.random.default_rng(81)
-        layers = [init_single_layer(rng, D) for _ in range(2)]
+        layers = [init_single_layer(ParamInit(rng=rng), D) for _ in range(2)]
         x = rng.normal(size=(2, 5, D))
         mask = np.array([[True, True, True, False, False], [True] * 5])
         full = single_stack(Tensor(x), layers, HEADS, key_mask=mask).data
@@ -207,7 +207,7 @@ class TestSingleStack:
 
     def test_zeroed_projections_make_identity(self):
         rng = np.random.default_rng(72)
-        layers = [init_single_layer(rng, D) for _ in range(2)]
+        layers = [init_single_layer(ParamInit(rng=rng), D) for _ in range(2)]
         for layer in layers:
             layer.self_attn.w_o.data[:] = 0.0
             layer.self_attn.b_o.data[:] = 0.0
@@ -218,7 +218,7 @@ class TestSingleStack:
 
     def test_matches_composed_sublayer_oracle(self):
         rng = np.random.default_rng(73)
-        layer = init_single_layer(rng, D)
+        layer = init_single_layer(ParamInit(rng=rng), D)
         x = rng.normal(size=(3, D))
         got = single_stack(Tensor(x), [layer], HEADS).data
         want = oracle_ffn(oracle_attend(x, x, layer.self_attn, HEADS), layer.ffn)
@@ -241,14 +241,14 @@ class TestClassify:
     def test_head_widths(self):
         rng = np.random.default_rng(75)
         z = gather_rows(Tensor(rng.normal(size=(4, D))), 3)
-        binary = init_classifier(rng, 2 * D, D, 1)
+        binary = init_classifier(ParamInit(rng=rng), 2 * D, D, 1)
         assert classify(z, z, binary).shape == (1,)
-        multi = init_classifier(rng, 2 * D, D, 25)
+        multi = init_classifier(ParamInit(rng=rng), 2 * D, D, 25)
         assert classify(z, z, multi).shape == (25,)
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(76)
-        p = init_classifier(rng, 2 * D, D, 2)
+        p = init_classifier(ParamInit(rng=rng), 2 * D, D, 2)
         z_ts = rng.normal(size=(4, D))
         z_txt = rng.normal(size=(4, D))
         got = classify(gather_rows(Tensor(z_ts), 3), gather_rows(Tensor(z_txt), 1), p).data
@@ -258,7 +258,7 @@ class TestClassify:
 
     def test_single_classifier_reads_requested_row(self):
         rng = np.random.default_rng(77)
-        p = init_classifier(rng, D, D, 1)
+        p = init_classifier(ParamInit(rng=rng), D, D, 1)
         z = rng.normal(size=(5, D))
         got = classify_single(gather_rows(Tensor(z), 2), p).data
         want = np.maximum(z[2] @ p.w_hidden.data + p.b_hidden.data, 0.0) @ p.w_out.data + p.b_out.data
@@ -266,9 +266,9 @@ class TestClassify:
 
     def test_streams_of_more_than_one_row_raise_shape_error(self):
         rng = np.random.default_rng(78)
-        p = init_classifier(rng, 2 * D, D, 1)
+        p = init_classifier(ParamInit(rng=rng), 2 * D, D, 1)
         one, five = Tensor(rng.normal(size=(1, D))), Tensor(rng.normal(size=(5, D)))
         with pytest.raises(ShapeError, match="one row"):
             classify(one, five, p)
         with pytest.raises(ShapeError, match="one row"):
-            classify_single(five, init_classifier(rng, D, D, 1))
+            classify_single(five, init_classifier(ParamInit(rng=rng), D, D, 1))

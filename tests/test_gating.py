@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mmists.gating import GateParams, compute_gate, init_gate_params, utde_embed
-from mmists.tensor import Tape, Tensor
+from mmists.tensor import ParamInit, Tape, Tensor
 
 from gradcheck import reduce_sum
 
@@ -50,7 +50,7 @@ class TestComputeGate:
         e_imp, e_attn = random_inputs(rng)
         shapes = {"patient": (1, 1), "temporal": (ALPHA, 1), "hidden": (ALPHA, D_H)}
         for level, shape in shapes.items():
-            g = compute_gate(e_imp, e_attn, init_gate_params(rng, level, D_H))
+            g = compute_gate(e_imp, e_attn, init_gate_params(ParamInit(rng=rng), level, D_H))
             assert g.shape == shape
             assert np.all(g.data > 0.0) and np.all(g.data < 1.0)
 
@@ -58,7 +58,7 @@ class TestComputeGate:
         rng = np.random.default_rng(53)
         e_imp, e_attn = random_inputs(rng)
         for level in ("patient", "temporal", "hidden"):
-            g = compute_gate(e_imp, e_attn, init_gate_params(rng, level, D_H))
+            g = compute_gate(e_imp, e_attn, init_gate_params(ParamInit(rng=rng), level, D_H))
             assert_array_equal(g.data, np.full(g.shape, 0.5))
 
     def test_mismatched_shapes_rejected(self):
@@ -67,7 +67,7 @@ class TestComputeGate:
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
-            init_gate_params(np.random.default_rng(0), "episode", D_H)
+            init_gate_params(ParamInit(rng=np.random.default_rng(0)), "episode", D_H)
 
 
 class TestUtdeEmbed:
@@ -105,7 +105,7 @@ class TestUtdeEmbed:
     def test_patient_gate_mixes_uniformly(self):
         rng = np.random.default_rng(58)
         e_imp, e_attn = random_inputs(rng)
-        p = init_gate_params(rng, "patient", D_H)
+        p = init_gate_params(ParamInit(rng=rng), "patient", D_H)
         p.w_out = Tensor(rng.normal(size=(D_H, 1)))
         g = compute_gate(e_imp, e_attn, p)
         z = utde_embed(e_imp, e_attn, g).data
@@ -116,7 +116,7 @@ class TestUtdeEmbed:
         rng = np.random.default_rng(59)
         e_imp, e_attn = random_inputs(rng)
         for level in ("patient", "temporal", "hidden"):
-            p = init_gate_params(rng, level, D_H)
+            p = init_gate_params(ParamInit(rng=rng), level, D_H)
             p.w_out = Tensor(rng.normal(size=p.w_out.shape))
             with Tape() as tape:
                 g = compute_gate(e_imp, e_attn, p)

@@ -1,6 +1,7 @@
 """Training-loop behavior: determinism, checkpoint selection, round trips."""
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 import zlib
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from mmists import harness, model
-from mmists.data import DataError, GenConfig, generate_synthetic, normalize, save_episodes
+from mmists.data import DataError, GenConfig, NormalizationStats, generate_synthetic, normalize, save_episodes
 from mmists.harness import (
     Checkpoint,
     NumericalError,
@@ -23,9 +24,10 @@ from mmists.harness import (
 )
 from mmists.metrics import EvalReport, evaluate_scores
 from mmists.model import RunConfig, forward, init_model, prepare_episode
-from mmists.tensor import Tape, bce_with_logits, buffer_views
+from mmists.tensor import ParamInit, Tape, bce_with_logits, buffer_views
 
 from conftest import checkpoint_arrays
+from oracles import init_buffer_by_concatenation
 
 
 SMALL = dict(
@@ -309,6 +311,43 @@ def test_build_params_fills_the_checkpoint_without_a_random_init(splits, monkeyp
     assert params.ts_interp.bank is params.txt_interp.bank
 
 
+def checkpoint_of_init(config: RunConfig) -> Checkpoint:
+    """A checkpoint holding a copy of ``init_model(config)``'s buffer."""
+    params, n = init_model(config), config.n_features
+    stats = NormalizationStats(np.zeros(n), np.ones(n), np.full(n, 0.5), config.alpha_hours)
+    index = [(name, t.shape) for name, t in params.flat().items()]
+    return Checkpoint(params.buffer.copy(), index, config, stats, 0, "f1", 0.0)
+
+
+@pytest.mark.parametrize(
+    "modality, ts_embed, text_irregularity, seed",
+    list(itertools.product(("fused", "ts", "txt"), ("utde", "imputation", "mtand"), (True, False), (0, 3))),
+)
+def test_init_buffer_is_bit_identical_to_concatenated_draws_and_build_params_views_it(
+    modality, ts_embed, text_irregularity, seed
+):
+    config = RunConfig(seed=seed, modality=modality, ts_embed=ts_embed, text_irregularity=text_irregularity)
+    ckpt = checkpoint_of_init(config)
+    np.testing.assert_array_equal(ckpt.buffer, init_buffer_by_concatenation(config))
+    params = ckpt.build_params()
+    assert params.buffer is ckpt.buffer
+    assert all(np.shares_memory(t.data, ckpt.buffer) for t in params.flat().values())
+
+
+def test_build_params_allocates_no_parameter_values():
+    """At the default config, build_params makes views of the checkpoint's
+    buffer: tracemalloc's peak stays within a tenth of it (1.02 buffers when
+    it filled a zero skeleton first)."""
+    ckpt = checkpoint_of_init(RunConfig(seed=0))
+    tracemalloc.start()
+    try:
+        ckpt.build_params()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.10 * ckpt.buffer.nbytes
+
+
 def test_train_steps_the_model_buffer_in_place(splits, monkeypatch):
     tr, va, _ = splits
     built, states = [], []
@@ -466,11 +505,18 @@ def test_checkpoint_index_disagreeing_with_the_model_raises_data_error(tmp_path,
         evaluate(ckpt, te)
 
 
+def test_checkpoint_buffer_the_index_does_not_cover_raises_data_error():
+    ckpt = checkpoint_of_init(small_config())
+    with pytest.raises(DataError, match="checkpoint buffer holds"):
+        dataclasses.replace(ckpt, buffer=np.append(ckpt.buffer, 0.0)).build_params()
+
+
 def all_variants_layout(config: RunConfig) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every variant's parameters in ModelParams field order:
     the index of a checkpoint from when every model built all three variants."""
     flats = [
-        model.model_skeleton(dataclasses.replace(config, modality=m, text_irregularity=t)).flat()
+        model.build_model(dataclasses.replace(config, modality=m, text_irregularity=t), ParamInit(fill=False))
+        .flat()
         for m in ("fused", "ts", "txt")
         for t in (True, False)
     ]

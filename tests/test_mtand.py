@@ -16,7 +16,7 @@ from mmists.mtand import (
     pad_series,
 )
 from mmists import tensor
-from mmists.tensor import Tape, Tensor, segment_time_attention
+from mmists.tensor import ParamInit, Tape, Tensor, segment_time_attention
 from gradcheck import reduce_sum
 from oracles import time_attention_oracle
 
@@ -37,8 +37,8 @@ def time2vec(times, bank):
 
 
 def make_params(rng, v=2, d_v=5, d_in=1, d_h=4):
-    bank = init_time2vec_bank(rng, v, d_v)
-    return init_mtand_params(rng, bank, d_in, d_h)
+    bank = init_time2vec_bank(ParamInit(rng=rng), v, d_v)
+    return init_mtand_params(ParamInit(rng=rng), bank, d_in, d_h)
 
 
 def one_head(omega, phi):
@@ -89,7 +89,7 @@ class TestTime2Vec:
 
     def test_banked_heads_match_per_head_op(self):
         rng = np.random.default_rng(31)
-        bank = init_time2vec_bank(rng, 3, 5)
+        bank = init_time2vec_bank(ParamInit(rng=rng), 3, 5)
         times = rng.random(4)
         all_heads = time2vec(times, bank)
         for v in range(3):
@@ -97,7 +97,7 @@ class TestTime2Vec:
             assert_allclose(all_heads[v], single, atol=1e-12)
 
     def test_bank_init_ranges(self):
-        bank = init_time2vec_bank(np.random.default_rng(32), 4, 8)
+        bank = init_time2vec_bank(ParamInit(rng=np.random.default_rng(32)), 4, 8)
         omega, phi = bank.omega.data, bank.phi.data
         assert_allclose(omega[:, 0], 1.0)
         assert_allclose(phi[:, 0], 0.0)
@@ -106,7 +106,7 @@ class TestTime2Vec:
 
     def test_too_narrow_bank_rejected(self):
         with pytest.raises(ValueError):
-            init_time2vec_bank(np.random.default_rng(0), 2, 1)
+            init_time2vec_bank(ParamInit(rng=np.random.default_rng(0)), 2, 1)
 
 
 class TestTimeAttention:
@@ -177,8 +177,8 @@ class TestMtandTs:
 
     def test_single_head_identity_projection_reproduces_attention(self):
         rng = np.random.default_rng(39)
-        bank = init_time2vec_bank(rng, 1, 5)
-        params = init_mtand_params(rng, bank, d_in=2, d_h=2)
+        bank = init_time2vec_bank(ParamInit(rng=rng), 1, 5)
+        params = init_mtand_params(ParamInit(rng=rng), bank, d_in=2, d_h=2)
         params.w_out = Tensor(np.eye(2))
         params.b_out = Tensor(np.zeros(2))
         series = [
@@ -200,8 +200,8 @@ class TestMtandTs:
 
     def test_zero_observation_feature_contributes_zero_column(self):
         rng = np.random.default_rng(40)
-        bank = init_time2vec_bank(rng, 2, 4)
-        params = init_mtand_params(rng, bank, d_in=2, d_h=3)
+        bank = init_time2vec_bank(ParamInit(rng=rng), 2, 4)
+        params = init_mtand_params(ParamInit(rng=rng), bank, d_in=2, d_h=3)
         series = pad_series([[(np.array([]), np.array([])), (rng.random(3), rng.normal(size=3))]])
         w = params.w_out.data.copy()
         out = mtand_ts(series, ReferenceGrid(3), params).data
@@ -214,8 +214,8 @@ class TestMtandTs:
 
     def test_episode_without_observations_gives_the_output_bias(self):
         rng = np.random.default_rng(47)
-        bank = init_time2vec_bank(rng, 2, 4)
-        params = init_mtand_params(rng, bank, d_in=2, d_h=3)
+        bank = init_time2vec_bank(ParamInit(rng=rng), 2, 4)
+        params = init_mtand_params(ParamInit(rng=rng), bank, d_in=2, d_h=3)
         params.b_out.data[:] = rng.normal(size=3)
         empty = pad_series([[(np.array([]), np.array([]))] * 2])
         with Tape() as tape:
@@ -226,8 +226,8 @@ class TestMtandTs:
 
     def test_shape_contract(self):
         rng = np.random.default_rng(41)
-        bank = init_time2vec_bank(rng, 8, 6)
-        params = init_mtand_params(rng, bank, d_in=17, d_h=64)
+        bank = init_time2vec_bank(ParamInit(rng=rng), 8, 6)
+        params = init_mtand_params(ParamInit(rng=rng), bank, d_in=17, d_h=64)
         series = pad_series([[(rng.random(2), rng.normal(size=2)) for _ in range(17)]])
         assert params.w_out.shape == (8 * 17, 64)
         out = mtand_ts(series, ReferenceGrid(48), params)
@@ -255,8 +255,8 @@ class TestMtandTxt:
 
     def test_matches_per_dimension_attention_oracle(self):
         rng = np.random.default_rng(44)
-        bank = init_time2vec_bank(rng, 2, 5)
-        params = init_mtand_params(rng, bank, d_in=3, d_h=4)
+        bank = init_time2vec_bank(ParamInit(rng=rng), 2, 5)
+        params = init_mtand_params(ParamInit(rng=rng), bank, d_in=3, d_h=4)
         times = rng.random(4)
         embs = rng.normal(size=(4, 3))
         grid = ReferenceGrid(3)
@@ -315,9 +315,9 @@ class TestStreamIsKernelAndProjection:
 class TestSharedBankGradients:
     def test_joint_gradient_is_sum_of_modality_gradients(self):
         rng = np.random.default_rng(46)
-        bank = init_time2vec_bank(rng, 2, 4)
-        ts_params = init_mtand_params(rng, bank, d_in=2, d_h=3)
-        txt_params = init_mtand_params(rng, bank, d_in=5, d_h=3)
+        bank = init_time2vec_bank(ParamInit(rng=rng), 2, 4)
+        ts_params = init_mtand_params(ParamInit(rng=rng), bank, d_in=2, d_h=3)
+        txt_params = init_mtand_params(ParamInit(rng=rng), bank, d_in=5, d_h=3)
         grid = ReferenceGrid(4)
         series = pad_series([[(rng.random(3), rng.normal(size=3)), (rng.random(2), rng.normal(size=2))]])
         note_times = rng.random(3)
@@ -343,9 +343,9 @@ class TestSharedBankGradients:
 
     def test_bank_object_is_structurally_shared(self):
         rng = np.random.default_rng(47)
-        bank = init_time2vec_bank(rng, 2, 4)
-        ts_params = init_mtand_params(rng, bank, d_in=2, d_h=3)
-        txt_params = init_mtand_params(rng, bank, d_in=5, d_h=3)
+        bank = init_time2vec_bank(ParamInit(rng=rng), 2, 4)
+        ts_params = init_mtand_params(ParamInit(rng=rng), bank, d_in=2, d_h=3)
+        txt_params = init_mtand_params(ParamInit(rng=rng), bank, d_in=5, d_h=3)
         assert ts_params.bank.omega is txt_params.bank.omega
         assert ts_params.bank.phi is txt_params.bank.phi
 

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from mmists.imputation import ReferenceGrid
 from mmists.mtand import PaddedSeries, init_mtand_params, init_time2vec_bank, mtand_ts, mtand_txt
 from mmists.model import RunConfig
-from mmists.tensor import ShapeError, Tape, Tensor, segment_time_attention
+from mmists.tensor import ParamInit, ShapeError, Tape, Tensor, segment_time_attention
 
 from gradcheck import finite_difference_gradients, reduce_sum, relative_error, sin
 from oracles import time_attention_oracle
@@ -43,8 +43,8 @@ def per_head(out, m, c) -> np.ndarray:
 
 def make_params(seed, v=2, d_v=5, d_in=1, d_h=4):
     rng = np.random.default_rng(seed)
-    bank = init_time2vec_bank(rng, v, d_v)
-    return init_mtand_params(rng, bank, d_in, d_h)
+    bank = init_time2vec_bank(ParamInit(rng=rng), v, d_v)
+    return init_mtand_params(ParamInit(rng=rng), bank, d_in, d_h)
 
 
 def padded_group() -> PaddedSeries:

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from mmists import tensor as T
 from mmists.tensor import (
     AdamState,
+    ParamInit,
     ShapeError,
     Tape,
     Tensor,
@@ -550,6 +551,28 @@ class TestFlatBuffer:
             buffer_views(np.zeros(6), [(2,), (1, 3)])
         with pytest.raises(ShapeError):
             buffer_views(np.zeros(4), [(2,), (3,)])
+
+    def test_param_init_makes_consecutive_views_of_the_buffer(self):
+        buffer = np.arange(11.0)
+        views = ParamInit(buffer, fill=False)
+        made = [views.tensor(shape, None) for shape in [(2, 3), (4,), (1,)]]
+        assert [t.shape for t in made] == [(2, 3), (4,), (1,)] and views.size == 11
+        assert all(t.data.base is buffer for t in made)
+        np.testing.assert_array_equal(made[1].data, [6.0, 7.0, 8.0, 9.0])  # the buffer's values, kept
+        buffer[:] = 0.0
+        assert not any(t.data.any() for t in made)  # views, not copies
+        past = views.tensor((3,), None)  # past the end: only its shape is real
+        assert past.shape == (3,) and not np.shares_memory(past.data, buffer) and views.size == 14
+
+    def test_param_init_fills_each_view_in_order(self):
+        filled = ParamInit(np.full(6, np.nan), rng=np.random.default_rng(1))
+        drawn, ones = filled.normal(2.0, (2, 2)), filled.full(1.0, (2,))
+        expected = np.concatenate([np.random.default_rng(1).normal(0.0, 2.0, size=4), [1.0, 1.0]])
+        np.testing.assert_array_equal(filled.buffer, expected)
+        assert drawn.data.base is filled.buffer and ones.data.base is filled.buffer
+        standalone = ParamInit(rng=np.random.default_rng(1)).normal(2.0, (2, 2))  # an array of its own
+        np.testing.assert_array_equal(standalone.data, drawn.data)
+        assert standalone.data.base is None
 
 
 def flat_params(values: dict) -> tuple[dict[str, Tensor], np.ndarray]:
