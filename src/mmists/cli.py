@@ -279,14 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--seeds", default="0,1,2", help="comma-separated training seeds")
     ab.set_defaults(func=cmd_ablate)
 
+    for command in sub.choices.values():  # so that main reports errors with the command's usage
+        command.set_defaults(usage_error=command.error)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "train" and getattr(args, "cfg_seed", None) is None:
-        parser.error("train requires an explicit --seed")  # exits with code 2
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # each error below prints the command's usage and exits with code 2
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
+    if args.command == "train" and args.cfg_seed is None:
+        args.usage_error("train requires an explicit --seed")
     try:
         return args.func(args)
     except ConfigError as e:

@@ -74,7 +74,7 @@ class FfnParams:
     """Position-wise feed-forward sublayer with its pre-norm."""
 
     ln: LayerNormParams
-    w_in: Tensor  # [d_h x d_ffn]
+    w_in: Tensor  # [d_h x d_ffn], d_ffn = 4 d_h
     b_in: Tensor
     w_out: Tensor  # [d_ffn x d_h]
     b_out: Tensor
@@ -121,8 +121,8 @@ def init_attention_params(init: ParamInit, d_h: int) -> AttentionParams:
     )
 
 
-def init_ffn_params(init: ParamInit, d_h: int, d_ffn: int | None = None) -> FfnParams:
-    d_ffn = 4 * d_h if d_ffn is None else d_ffn
+def init_ffn_params(init: ParamInit, d_h: int) -> FfnParams:
+    d_ffn = 4 * d_h
     return FfnParams(
         ln=init_layer_norm(init, d_h),
         w_in=init.normal(d_h**-0.5, (d_h, d_ffn)),

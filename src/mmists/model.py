@@ -339,7 +339,6 @@ def prepare_episode(ep: Episode, config: RunConfig, stats: NormalizationStats) -
 class EpisodeBatch:
     """A group of G prepared episodes stacked into padded arrays; masks mark real entries."""
 
-    episode_ids: list[str]
     labels: np.ndarray  # float [G x n_classes]
     imputed: np.ndarray  # [G x alpha x d_m]
     series: PaddedSeries  # [G x d_m x L], L = longest feature series in the group
@@ -360,7 +359,6 @@ def collate(preps: list[PreparedEpisode]) -> EpisodeBatch:
         note_times[b, : counts[b]] = p.note_times
         note_embs[b, : counts[b]] = p.note_embs
     return EpisodeBatch(
-        episode_ids=[p.episode_id for p in preps],
         labels=np.stack([p.label for p in preps]),
         imputed=np.stack([p.imputed for p in preps]),
         series=pad_series([p.feature_series for p in preps]),

@@ -6,9 +6,9 @@ created outside a tape (or plain numpy arrays / floats passed to ops) are
 treated as constants. Everything is float64 and row-major.
 
 The stack of open tapes is per thread, so threads record and sweep their own
-tapes. A tape keeps its leaves (the Tensors it reads but did not compute, such
-as parameters) in its own table and never writes to them, so one parameter can
-be read by several threads' tapes at once.
+tapes. Only ops are tape nodes; a node refers to a leaf (an input its tape
+did not compute, such as a parameter) by the Tensor itself. A tape never
+writes to a leaf, so one parameter can be read by several threads' tapes.
 
 ``ParamInit`` makes parameter tensors as consecutive views of one flat
 buffer; ``buffer_views`` cuts a flat buffer into consecutive shaped views.
@@ -136,11 +136,12 @@ class Tensor:
 @dataclass
 class _Node:
     op: str
-    input_ids: tuple[int, ...]
+    # one per input: its node id if this tape computed it, else the leaf Tensor
+    inputs: tuple[int | Tensor, ...]
     backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None
 
 
-_SPENT = _Node("spent", (), None)  # stands in for an interior node once backward has passed it
+_SPENT = _Node("spent", (), None)  # stands in for a node once backward has passed it
 
 
 class Tape:
@@ -152,9 +153,8 @@ class Tape:
 
     def __init__(self) -> None:
         self.nodes: list[_Node] = []
-        self.gradients: dict[int, np.ndarray] = {}
-        # id(leaf) -> (node, leaf); holding the leaf keeps its id from being reused
-        self._leaves: dict[int, tuple[int, Tensor]] = {}
+        # node id -> gradient while sweeping; leaf Tensor -> gradient after
+        self.gradients: dict[int | Tensor, np.ndarray] = {}
         self._swept = False
 
     def __enter__(self) -> "Tape":
@@ -165,22 +165,6 @@ class Tape:
         popped = _TAPE_STACK.tapes.pop()
         assert popped is self
 
-    def node_of(self, t: Tensor) -> int | None:
-        """``t``'s node on this tape: the op that computed it, or its leaf
-        node; None if this tape never read it."""
-        if t._tape is self:
-            return t._node
-        entry = self._leaves.get(id(t))
-        return None if entry is None else entry[0]
-
-    def _ensure_leaf(self, t: Tensor) -> int:
-        node = self.node_of(t)
-        if node is None:
-            node = len(self.nodes)
-            self._leaves[id(t)] = (node, t)
-            self.nodes.append(_Node("leaf", (), None))
-        return node
-
     def record(
         self,
         out: Tensor,
@@ -188,10 +172,10 @@ class Tape:
         backward: Callable[[np.ndarray], tuple[np.ndarray, ...]],
         op: str,
     ) -> None:
-        ids = tuple(self._ensure_leaf(t) for t in inputs)
+        refs = tuple(t._node if t._tape is self else t for t in inputs)
         out._tape = self
         out._node = len(self.nodes)
-        self.nodes.append(_Node(op, ids, backward))
+        self.nodes.append(_Node(op, refs, backward))
 
     def backward(self, loss: Tensor, into: dict[Tensor, np.ndarray] | None = None) -> None:
         """Populate ``gradients`` for every leaf contributing to ``loss``.
@@ -214,33 +198,30 @@ class Tape:
         self._swept = True
         self.gradients = {loss._node: np.ones_like(loss.data)}
         grads = self.gradients
-        for leaf, acc in (into or {}).items():
-            node = self.node_of(leaf)
-            if node is not None:
-                grads[node] = acc
+        into = into or {}
         nodes = self.nodes
         for node_id in range(loss._node, -1, -1):
             node = nodes[node_id]
-            if node.backward is None:
-                continue
             nodes[node_id] = _SPENT
             g = grads.pop(node_id, None)
             if g is None:
                 continue
             input_grads = node.backward(g)
             g_free = True  # g is dead after this node, so one input may take it over
-            for in_id, ig in zip(node.input_ids, input_grads):
+            for ref, ig in zip(node.inputs, input_grads):
                 if ig is None:
                     continue
-                acc = grads.get(in_id)
+                acc = grads.get(ref)
+                if acc is None and ref in into:  # a leaf's first gradient
+                    acc = grads[ref] = into[ref]
                 if acc is not None:
                     acc += ig
                 elif ig is g and g_free:
-                    grads[in_id] = g
+                    grads[ref] = g
                     g_free = False
                 else:
                     # a view may alias a saved activation, and g may be taken
-                    grads[in_id] = ig.copy() if ig.base is not None or ig is g else ig
+                    grads[ref] = ig.copy() if ig.base is not None or ig is g else ig
 
     def grad(self, t: Tensor) -> np.ndarray:
         """Gradient of the last backward() loss w.r.t. ``t`` (zeros if unused)."""
@@ -248,7 +229,7 @@ class Tape:
         return np.zeros_like(t.data) if g is None else g
 
     def grad_or_none(self, t: Tensor) -> np.ndarray | None:
-        return self.gradients.get(self.node_of(t))
+        return self.gradients.get(t)
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

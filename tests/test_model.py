@@ -424,7 +424,6 @@ class TestGroups:
     def test_collate_pads_and_masks(self):
         cfg = small_config(note_budget=5)
         batch = collate(mixed_group(cfg))
-        assert batch.episode_ids == ["g0", "g1", "g2"]
         assert batch.imputed.shape == (3, cfg.alpha, 3)
         assert batch.series.times.shape == (3, 3, 5)
         assert_array_equal(batch.series.mask.sum(axis=2), [[2, 0, 3], [5, 1, 1], [1, 4, 0]])
@@ -532,19 +531,33 @@ class TestRowPruning:
 
 
 class TestTapeStructure:
-    @pytest.mark.parametrize("modality, kernels", [("fused", 2), ("ts", 1), ("txt", 1)])
-    def test_each_mtand_stream_is_one_node_and_only_it_reads_the_bank(self, modality, kernels):
-        """A default-config group of 8: each mTAND stream (the grid's and the
-        keys' Time2Vec, both projections, the scores, the softmax and the
-        mix) records one ``segment_time_attention`` node, and no other node
-        reads the shared bank."""
+    @staticmethod
+    def record_group(modality: str) -> tuple[Tape, ModelParams]:
+        """The forward and the loss of a default-config group of 8, on one tape."""
         config = RunConfig(seed=0, modality=modality)
         episodes = generate_synthetic(GenConfig(n_episodes=8, task="xor_fusion", seed=5))
         normed, stats = normalize(episodes, alpha_hours=config.alpha_hours, n_features=config.n_features)
         group = collate([prepare_episode(ep, config, stats) for ep in normed])
         params = init_model(config)
         with Tape() as tape:
-            forward(group, params, config)
+            bce_with_logits(forward(group, params, config), group.labels, config.pos_weight)
+        return tape, params
+
+    @pytest.mark.parametrize("modality, ops", [("fused", 145), ("ts", 57), ("txt", 46)])
+    def test_group_records_only_its_ops(self, modality, ops):
+        """Only ops are nodes: the ~180 parameters a group reads are referred
+        to by the nodes that read them, not recorded as nodes of their own."""
+        tape, _ = self.record_group(modality)
+        assert len(tape.nodes) == ops
+        assert all(node.backward is not None for node in tape.nodes)
+
+    @pytest.mark.parametrize("modality, kernels", [("fused", 2), ("ts", 1), ("txt", 1)])
+    def test_each_mtand_stream_is_one_node_and_only_it_reads_the_bank(self, modality, kernels):
+        """A default-config group of 8: each mTAND stream (the grid's and the
+        keys' Time2Vec, both projections, the scores, the softmax and the
+        mix) records one ``segment_time_attention`` node, and no other node
+        reads the shared bank."""
+        tape, params = self.record_group(modality)
         assert [node.op for node in tape.nodes].count("segment_time_attention") == kernels
-        bank = {tape.node_of(params.bank.omega), tape.node_of(params.bank.phi)}
-        assert {node.op for node in tape.nodes if bank & set(node.input_ids)} == {"segment_time_attention"}
+        bank = {params.bank.omega, params.bank.phi}
+        assert {node.op for node in tape.nodes if bank & set(node.inputs)} == {"segment_time_attention"}

@@ -164,7 +164,7 @@ class TestKernel:
         g = rng.normal(size=(2, 3, 5, 1))  # [V x a x series x c]
         with Tape() as tape:
             out = segment_time_attention(**inputs, values=values)
-            g_omega_q, g_phi_q = tape.nodes[tape.node_of(out)].backward(np.swapaxes(g, 0, 1).reshape(3, -1))[4:]
+            g_omega_q, g_phi_q = tape.nodes[out._node].backward(np.swapaxes(g, 0, 1).reshape(3, -1))[4:]
         omega, phi = inputs["omega"].data, inputs["phi"].data
         w_q, w_k = inputs["w_query"].data, inputs["w_key"].data
         query_bank = {"omega": Tensor(omega.copy()), "phi": Tensor(phi.copy())}

@@ -186,7 +186,8 @@ class TestBackward:
         check_grads(lambda: reduce_sum(sin(linear(const, w, b))), {"w": w, "b": b})
         with Tape() as tape:
             out = linear(const, w, b)
-        assert len(tape.nodes) == 3  # the weight, the bias and the op; no node for the constant
+        # one node, the op; it refers to the weight and the bias, not the constant
+        assert len(tape.nodes) == 1 and tape.nodes[0].inputs == (w, b)
         with pytest.raises(ShapeError):
             linear(x, Tensor(np.ones((5, 4))), b)
 
@@ -346,13 +347,27 @@ class TestBackward:
         assert_allclose(acc, [16.0, 26.0])
         assert_allclose(tape.grad(w), [6.0])
 
+    @pytest.mark.parametrize("into", [False, True])
+    def test_parameter_read_by_two_ops_gets_both_gradients(self, into):
+        w = Tensor(np.array([1.0, -2.0]))
+        acc = np.array([10.0, 20.0])
+        with Tape() as tape:
+            loss = reduce_sum(w * 3.0 + w * 5.0)
+        # both muls refer to w itself; w has no node of its own
+        assert [node.inputs for node in tape.nodes if node.op == "mul"] == [(w,), (w,)]
+        tape.backward(loss, into={w: acc} if into else None)
+        np.testing.assert_array_equal(tape.grad(w), [18.0, 28.0] if into else [8.0, 8.0])
+        assert (tape.grad(w) is acc) == into
+
     def test_unused_parameter_gets_zero_gradient(self):
         x = Tensor(np.array([1.0, 2.0]))
         unused = Tensor(np.array([5.0]))
+        acc = np.array([7.0])
         with Tape() as tape:
-            tape.backward(reduce_sum(x))
+            tape.backward(reduce_sum(x), into={unused: acc})
         assert_allclose(tape.grad(unused), np.zeros(1))
         assert tape.grad_or_none(unused) is None
+        np.testing.assert_array_equal(acc, [7.0])  # the tape never read it, so never wrote it
 
     def test_fresh_tape_reuses_parameters(self):
         x = Tensor(np.array([1.0, 4.0]))
@@ -385,24 +400,22 @@ class TestBackward:
             return h, reduce_sum(sigmoid(h) * h + h)
 
         # reference: the same reverse sweep, keeping every gradient and closure
-        leaves = {"x": x, "w": w, "b": b, "gain": gain, "bias": bias}
+        leaves = (x, w, b, gain, bias)
         with Tape() as ref:
             _, loss = build()
-        leaf_ids = {name: ref.node_of(t) for name, t in leaves.items()}
-        loss_id = ref.node_of(loss)
-        grads = {loss_id: np.ones_like(loss.data)}
-        for node_id in range(loss_id, -1, -1):
-            node = ref.nodes[node_id]
-            if node.backward is None or node_id not in grads:
+        grads = {loss._node: np.ones_like(loss.data)}  # by node id, and by the leaf itself
+        for node_id in range(loss._node, -1, -1):
+            if node_id not in grads:
                 continue
-            for in_id, ig in zip(node.input_ids, node.backward(grads[node_id])):
-                grads[in_id] = grads[in_id] + ig if in_id in grads else ig.copy()
+            node = ref.nodes[node_id]
+            for r, ig in zip(node.inputs, node.backward(grads[node_id])):
+                grads[r] = grads[r] + ig if r in grads else ig.copy()
 
         with Tape() as tape:
             hidden, loss = build()
             tape.backward(loss)
-        for name, leaf in leaves.items():
-            np.testing.assert_array_equal(tape.grad(leaf), grads[leaf_ids[name]])
+        for leaf in leaves:
+            np.testing.assert_array_equal(tape.grad(leaf), grads[leaf])
         assert tape.grad_or_none(hidden) is None
         assert tape.grad_or_none(loss) is None
         with pytest.raises(RuntimeError):
