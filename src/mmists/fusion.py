@@ -68,6 +68,10 @@ class AttentionParams:
     w_o: Tensor
     b_o: Tensor
 
+    def projections(self) -> tuple[Tensor, ...]:
+        """The eight projection tensors in ``tensor.attention``'s order."""
+        return self.w_q, self.b_q, self.w_k, self.b_k, self.w_v, self.b_v, self.w_o, self.b_o
+
 
 @dataclass
 class FfnParams:
@@ -159,31 +163,17 @@ def init_classifier(init: ParamInit, d_in: int, d_h: int, n_out: int) -> Classif
     )
 
 
-def _multi_head(
-    q_in: Tensor,
-    kv_in: Tensor,
-    p: AttentionParams,
-    heads: int,
-    key_mask: np.ndarray | None,
-) -> Tensor:
-    """Scaled dot-product attention split over heads; key_mask [... x l] hides kv rows."""
-    q = linear(q_in, p.w_q, p.b_q)
-    k = linear(kv_in, p.w_k, p.b_k)
-    v = linear(kv_in, p.w_v, p.b_v)
-    return linear(attention(q, k, v, heads, key_mask), p.w_o, p.b_o)
-
-
 def self_attend(x: Tensor, p: AttentionParams, heads: int, key_mask=None) -> Tensor:
     """Pre-norm bidirectional self-attention with residual."""
     normed = layer_norm(x, p.ln.gain, p.ln.bias)
-    return x + _multi_head(normed, normed, p, heads, key_mask)
+    return x + attention(normed, normed, *p.projections(), heads, key_mask)
 
 
 def cross_attend(x: Tensor, other: Tensor, p: AttentionParams, heads: int, key_mask=None) -> Tensor:
     """Queries from x, keys/values from the other stream; both pre-normed, residual to x."""
     q_in = layer_norm(x, p.ln.gain, p.ln.bias)
     kv_in = layer_norm(other, p.ln.gain, p.ln.bias)
-    return x + _multi_head(q_in, kv_in, p, heads, key_mask)
+    return x + attention(q_in, kv_in, *p.projections(), heads, key_mask)
 
 
 def ffn_block(x: Tensor, p: FfnParams) -> Tensor:

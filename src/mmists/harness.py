@@ -12,18 +12,22 @@ backward adds into views of the optimizer's gradient buffer. The best
 snapshot is taken only before a step would change it: one copy of the
 parameter buffer when an epoch >= 1 leads, and none while the initialization
 (epoch 0) leads, since ``init_model(config)`` redraws it bit for bit from the
-seed once training ends.
+seed once training ends, after the gradient buffer and Adam's moments are
+freed.
 
 Allocator policy (glibc only, process-wide): ``train`` first fixes glibc's
-malloc thresholds, once per process, through ``mallopt``. Blocks of
-MMAP_THRESHOLD and up (the parameter buffer, its gradient, Adam's moments,
-checkpoint buffers) get their own mappings and go back to the kernel when
-freed, so they leave no hole in the heap; every tape activation is served
-from the heap, which keeps up to TRIM_THRESHOLD of freed top pages resident,
-so the next group reuses the pages the last group's backward freed instead of
-faulting them in again. Fixing either value also stops glibc's dynamic
-threshold from rising with the largest mapped block freed so far. Elsewhere
-the call is a no-op; no arithmetic depends on it.
+malloc thresholds, once per process, through ``mallopt``. Every tape
+activation is served from the heap, which keeps up to TRIM_THRESHOLD of freed
+top pages resident, so the next group reuses the pages the last group's
+backward freed instead of faulting them in again. A block of MMAP_THRESHOLD
+and up (the parameter buffer, its gradient, checkpoint buffers) is also
+served from a free heap chunk when one is large enough, and gets a mapping of
+its own, which goes back to the kernel when freed, only when none is; in a
+process that has trained, the heap usually has one. Adam's moments are
+chunks below the threshold, so they always come from the heap. Fixing
+either value also stops glibc's dynamic threshold from rising with the
+largest mapped block freed so far. Elsewhere the call is a no-op; no
+arithmetic depends on it.
 """
 
 from __future__ import annotations
@@ -96,10 +100,11 @@ def _fix_allocator() -> bool:
 
 
 # Episodes per tape, in training and scoring. A larger group raises the
-# training peak by its tape (a default fused group of 8 holds about 14 MB of
+# training peak by its tape (a default fused group of 8 holds about 9.7 MB of
 # activations) without training faster: benchmark train_fused, 20 s, seeds
 # 105-107, 1 BLAS thread, read a peak RSS of 80.1-80.2 MB at 8 and
-# 94.3-94.6 MB at 16, with episodes/s within the host's noise.
+# 94.3-94.6 MB at 16 (when a group of 8 held about 14 MB), with episodes/s
+# within the host's noise.
 GROUP_SIZE = 8
 
 
@@ -245,6 +250,19 @@ def _selection_metric(scores: np.ndarray, labels: np.ndarray, task: str) -> floa
 
 # ------------------------------------------------------------------ training
 
+def _add_group_gradients(
+    group: list[PreparedEpisode], params: ModelParams, config: RunConfig, share: float, into: dict
+) -> float:
+    """Record a group's forward and loss on a tape of its own, add its
+    gradients, weighted by ``share``, into ``into`` and return its loss. The
+    tape, which holds views of ``into``, ends with the call."""
+    episodes = collate(group)
+    with Tape() as tape:
+        loss = bce_with_logits(forward(episodes, params, config), episodes.labels, config.pos_weight)
+        tape.backward(loss * share, into=into)
+    return loss.item()
+
+
 def train(
     config: RunConfig,
     train_episodes: list[Episode],
@@ -307,12 +325,7 @@ def train(
             batch_loss = 0.0
             for _, group in _groups(chunk):
                 share = len(group) / len(chunk)
-                episodes = collate(group)
-                with Tape() as tape:
-                    logits = forward(episodes, params, config)
-                    loss = bce_with_logits(logits, episodes.labels, config.pos_weight)
-                    tape.backward(loss * share, into=into)
-                batch_loss += loss.item() * share
+                batch_loss += _add_group_gradients(group, params, config, share, into) * share
             if not np.isfinite(batch_loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {batch_index} (lr={config.lr})"
@@ -338,6 +351,7 @@ def train(
             best_buffer = params.buffer
             best_epoch = epoch
 
+    del opt, into  # the gradient and both moments go before a redraw allocates a buffer
     return Checkpoint(
         buffer=init_model(config).buffer if best_buffer is None else best_buffer,
         index=[(name, t.shape) for name, t in flat.items()],

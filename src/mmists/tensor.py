@@ -507,6 +507,24 @@ def relu(x: Tensor) -> Tensor:
     return _unary(x, out, lambda g: (g * (out > 0.0),), "relu")
 
 
+def _affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x2 @ w + b`` for rows x2 [r x k]: one [r x k] @ [k x n] product."""
+    out = x2 @ w
+    out += b
+    return out
+
+
+def _affine_backward(g2: np.ndarray, x2: np.ndarray, w: np.ndarray, x_shape: tuple[int, ...] | None):
+    """(x, w, b) gradients of ``_affine`` for the output gradient g2 [r x n].
+    The x gradient is a fresh array of ``x_shape``, so the tape need not copy
+    it, or None without a shape (x is a constant)."""
+    gx = None
+    if x_shape is not None:
+        gx = np.empty(x_shape)
+        np.matmul(g2, w.T, out=gx.reshape(x2.shape))
+    return gx, x2.T @ g2, g2.sum(axis=0)
+
+
 def linear(x, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for x [... x k], w [k x n], b [n]: all leading rows of x
     go through one [rows x k] @ [k x n] product, forward and backward. An x
@@ -517,20 +535,13 @@ def linear(x, w: Tensor, b: Tensor) -> Tensor:
     if wd.ndim != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[0] or bd.shape != wd.shape[1:]:
         raise ShapeError(f"linear expects x [..,k], w [k,n], b [n]; got {xd.shape}, {wd.shape}, {bd.shape}")
     x2 = xd.reshape(-1, wd.shape[0])
-    out2 = x2 @ wd
-    out2 += bd
-    out = Tensor(out2.reshape(xd.shape[:-1] + wd.shape[1:]))
+    out = Tensor(_affine(x2, wd, bd).reshape(xd.shape[:-1] + wd.shape[1:]))
     tape = _active_tape()
     if tape is not None:
 
         def backward(g: np.ndarray):
-            g2 = g.reshape(-1, wd.shape[1])
-            grads = ()
-            if x_t:
-                gx = np.empty(xd.shape)  # a fresh array, so the tape need not copy it
-                np.matmul(g2, wd.T, out=gx.reshape(x2.shape))
-                grads = (gx,)
-            return grads + (x2.T @ g2, g2.sum(axis=0))
+            gx, gw, gb = _affine_backward(g.reshape(-1, wd.shape[1]), x2, wd, xd.shape if x_t else None)
+            return (gx, gw, gb) if x_t else (gw, gb)
 
         tape.record(out, (x, w, b) if x_t else (w, b), backward, "linear")
     return out
@@ -604,6 +615,15 @@ def gather_rows(x: Tensor, rows) -> Tensor:
     return _unary(x, np.take_along_axis(xd, idx, axis=-2), backward, "gather_rows")
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, kept as an axis of one: a matrix-vector
+    product with ones, which BLAS runs about 2-4x faster than
+    ``sum(axis=-1)`` on rows of 24-64 values (it adds in another order, so
+    the sums differ in the last bits)."""
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ np.ones(n)).reshape(x.shape[:-1] + (1,))
+
+
 _LN_EPS = 1e-5
 
 
@@ -613,10 +633,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = xd.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    # the same operations, in the same order, as xd.mean and xd.var, but the
-    # centred values are computed once and reused for the output
-    xhat = xd - xd.sum(axis=-1, keepdims=True) / d
-    var = np.square(xhat).sum(axis=-1, keepdims=True) / d
+    # the mean and the (biased) variance, with the centred values computed
+    # once and reused for the output
+    xhat = xd - _row_sums(xd) / d
+    var = _row_sums(np.square(xhat)) / d
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     out_data = xhat * gain.data
@@ -632,9 +652,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             g_gain = (g2 * xhat2).sum(axis=0)
             g_bias = g2.sum(axis=0)
             gh = g * gd
-            proj = (gh * xhat).sum(axis=-1, keepdims=True)
+            proj = _row_sums(gh * xhat)
             proj /= d
-            gx = gh - gh.sum(axis=-1, keepdims=True) / d
+            gx = gh - _row_sums(gh) / d
             gx -= xhat * proj
             gx *= inv
             return gx, g_gain, g_bias
@@ -658,24 +678,48 @@ def _softmax_weights(sd: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
         e = np.where(m, sd, -np.inf)
         e -= np.where(any_valid, e.max(axis=-1, keepdims=True, initial=-np.inf), 0.0)
     np.exp(e, out=e)  # masked entries: exp(-inf) = 0
-    e /= np.where(any_valid, e.sum(axis=-1, keepdims=True), 1.0)
+    e /= np.where(any_valid, _row_sums(e), 1.0)
     return e
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, key_mask=None) -> Tensor:
-    """Multi-head scaled dot-product attention as one tape node.
+def attention(
+    q_in: Tensor, kv_in: Tensor, w_q: Tensor, b_q: Tensor, w_k: Tensor, b_k: Tensor,
+    w_v: Tensor, b_v: Tensor, w_o: Tensor, b_o: Tensor, heads: int, key_mask=None,
+) -> Tensor:
+    """A multi-head attention sublayer, its four projections included, as one
+    tape node.
 
-    q [... x a x d], k and v [... x l x d] share their leading axes; the width
-    d splits into ``heads`` heads of d/heads columns each. ``key_mask`` (bool,
-    broadcast to [... x l]) hides keys, and a query with no valid key gets a
-    zero output row. The node keeps the softmax weights [... x H x a x l] for
-    backward instead of recomputing them from q and k.
+    q_in [... x a x e] and kv_in [... x l x f] share their leading axes. The
+    queries q = q_in w_q + b_q [... x a x d] and the keys and values
+    k = kv_in w_k + b_k, v = kv_in w_v + b_v [... x l x d] split the width d
+    into ``heads`` heads of d/heads columns each; each head takes scaled
+    dot-product attention, and the merged head outputs [... x a x d] go
+    through w_o [d x n] and b_o. ``key_mask`` (bool, broadcast to [... x l])
+    hides keys, and a query with no valid key gets merged outputs of zero.
+
+    While a tape records, the node keeps its two inputs and the softmax
+    weights [... x H x a x l], not q, k, v or the merged outputs: each of
+    those is one small product away from what it keeps, and backward
+    recomputes them with the forward's own operations, so they equal the
+    forward's bit for bit. ``q_in`` may be ``kv_in`` itself (self-attention);
+    the tape then adds the queries' share of its gradient and the keys' and
+    values' share.
     """
-    qd, kd, vd = q.data, k.data, v.data
-    *lead, a, d = qd.shape
-    l = kd.shape[-2]
-    if kd.shape != vd.shape or kd.shape[:-2] != tuple(lead) or kd.shape[-1] != d:
-        raise ShapeError(f"attention needs q [..,a,d], k and v [..,l,d]; got {qd.shape}, {kd.shape}, {vd.shape}")
+    qd, kvd = q_in.data, kv_in.data
+    wq, bq, wk, bk, wv, bv, wo, bo = (t.data for t in (w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o))
+    *lead, a, e = qd.shape
+    l, f = kvd.shape[-2:]
+    d, n = wq.shape[-1], wo.shape[-1]
+    if (
+        kvd.shape[:-2] != tuple(lead)
+        or wq.shape != (e, d) or wk.shape != (f, d) or wv.shape != (f, d) or wo.shape != (d, n)
+        or bq.shape != (d,) or bk.shape != (d,) or bv.shape != (d,) or bo.shape != (n,)
+    ):
+        shapes = " ".join(str(x.shape) for x in (qd, kvd, wq, bq, wk, bk, wv, bv, wo, bo))
+        raise ShapeError(
+            "attention needs q_in [..,a,e], kv_in [..,l,f], w_q [e,d], b_q [d], w_k and w_v [f,d], "
+            f"b_k and b_v [d], w_o [d,n], b_o [n]; got {shapes}"
+        )
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"head count {heads} must divide width {d}")
     dk = d // heads
@@ -683,32 +727,46 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, key_mask=None) -> Ten
     mask = None
     if key_mask is not None:
         mask = np.broadcast_to(np.asarray(key_mask, dtype=bool), (*lead, l))[..., None, None, :]
+    q2, kv2 = qd.reshape(-1, e), kvd.reshape(-1, f)
 
     def split(x: np.ndarray, rows: int) -> np.ndarray:  # [... x rows x d] -> [... x H x rows x dk]
         return np.swapaxes(x.reshape(*lead, rows, heads, dk), -3, -2)
 
-    def merge(x: np.ndarray, rows: int) -> np.ndarray:  # the inverse of split, as a fresh array
-        out = np.empty((*lead, rows, d))
+    def merge(x: np.ndarray, rows: int) -> np.ndarray:  # the inverse of split, as fresh [... * rows x d]
+        out = np.empty((math.prod(lead) * rows, d))
         split(out, rows)[...] = x
         return out
 
-    qh, kh, vh = split(qd, a), split(kd, l), split(vd, l)
+    def heads_of_projections():  # q, k, v split into heads
+        return split(_affine(q2, wq, bq), a), split(_affine(kv2, wk, bk), l), split(_affine(kv2, wv, bv), l)
+
+    qh, kh, vh = heads_of_projections()
     scores = qh @ np.swapaxes(kh, -1, -2)
     scores *= scale
     w = _softmax_weights(scores, mask)  # [... x H x a x l]
-    out = Tensor(merge(w @ vh, a))
+    out = Tensor(_affine(merge(w @ vh, a), wo, bo).reshape(*lead, a, n))
     tape = _active_tape()
     if tape is not None:
 
         def backward(g: np.ndarray):
-            gh = split(g, a)
+            qh, kh, vh = heads_of_projections()
+            g2 = g.reshape(-1, n)
+            merged = merge(w @ vh, a)
+            g_merged, g_wo, g_bo = _affine_backward(g2, merged, wo, merged.shape)
+            gh = split(g_merged, a)
             g_v = np.swapaxes(w, -1, -2) @ gh
-            g_w = gh @ np.swapaxes(vh, -1, -2)
-            g_s = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
+            g_s = gh @ np.swapaxes(vh, -1, -2)  # the weights' gradient, then the scores' in place
+            g_s -= _row_sums(g_s * w)
+            g_s *= w
             g_s *= scale
-            return merge(g_s @ kh, a), merge(np.swapaxes(g_s, -1, -2) @ qh, l), merge(g_v, l)
+            g_qin, g_wq, g_bq = _affine_backward(merge(g_s @ kh, a), q2, wq, qd.shape)
+            # the values' share first, then the keys': the order of the separate projections' sweep
+            g_kvin, g_wv, g_bv = _affine_backward(merge(g_v, l), kv2, wv, kvd.shape)
+            g_kk, g_wk, g_bk = _affine_backward(merge(np.swapaxes(g_s, -1, -2) @ qh, l), kv2, wk, kvd.shape)
+            g_kvin += g_kk
+            return g_qin, g_kvin, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo
 
-        tape.record(out, (q, k, v), backward, "attention")
+        tape.record(out, (q_in, kv_in, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o), backward, "attention")
     return out
 
 
@@ -821,16 +879,20 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """The parameters' flat buffer, a gradient buffer and the first/second
-    moments in the same layout, plus the learning rate."""
+    """The parameters' flat buffer, a gradient buffer in the same layout, the
+    first/second moments as consecutive chunks of that layout, and the
+    learning rate."""
 
     param_buffer: np.ndarray
     grad_buffer: np.ndarray
     lr: float = 4e-4
     step_count: int = 0
-    # allocated, zero, at the first step: a state that never steps holds none
-    first_moment: np.ndarray | None = None
-    second_moment: np.ndarray | None = None
+    # allocated, zero, at the first step (a state that never steps holds
+    # none), one array per _ADAM_CHUNK elements: blocks that small come from
+    # malloc's heap whenever they are made, while a parameter-sized block goes
+    # to a mapping of its own when the heap has no free chunk that large
+    first_moment: list[np.ndarray] | None = None
+    second_moment: list[np.ndarray] | None = None
 
 
 def adam_init(param_buffer: np.ndarray, lr: float = 4e-4) -> AdamState:
@@ -849,25 +911,28 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> tuple[dict[str, Te
 
     ``params`` maps names to the tensors that view ``state.param_buffer``;
     the caller writes their gradients into ``state.grad_buffer`` in the same
-    layout (zero for a parameter without one). The update sweeps the flat parameter, gradient and moment buffers in chunks of
-    ``_ADAM_CHUNK`` elements. Every parameter has zero moments before its
-    first gradient, so until then its update is exactly zero.
+    layout (zero for a parameter without one). The update sweeps the flat
+    parameter and gradient buffers in chunks of ``_ADAM_CHUNK`` elements,
+    each with its own moment arrays. Every parameter has zero moments before
+    its first gradient, so until then its update is exactly zero.
 
     The operations and their order are those of the textbook expressions
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2`` and
     ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``, so the result is bit-identical.
     """
     size = state.param_buffer.size
+    starts = range(0, size, _ADAM_CHUNK)
     if state.first_moment is None:
-        state.first_moment, state.second_moment = np.zeros(size), np.zeros(size)
+        state.first_moment = [np.zeros(min(_ADAM_CHUNK, size - a)) for a in starts]
+        state.second_moment = [np.zeros(min(_ADAM_CHUNK, size - a)) for a in starts]
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
     step_buf, denom_buf = np.empty(min(size, _ADAM_CHUNK)), np.empty(min(size, _ADAM_CHUNK))
-    for a in range(0, size, _ADAM_CHUNK):
-        b = min(a + _ADAM_CHUNK, size)
-        m, v, g = state.first_moment[a:b], state.second_moment[a:b], state.grad_buffer[a:b]
+    for a, m, v in zip(starts, state.first_moment, state.second_moment):
+        b = a + m.size
+        g = state.grad_buffer[a:b]
         step, denom = step_buf[: b - a], denom_buf[: b - a]
         m *= ADAM_BETA1
         m += np.multiply(1.0 - ADAM_BETA1, g, out=step)

@@ -223,13 +223,27 @@ def _grad_suite_ops(rng: np.random.Generator) -> float:
         lambda: reduce_sum(sin(linear(lin_x, lin_w, lin_b))),
     )
     att_q = Tensor(rng.normal(size=(2, 3, 4)))
-    att_k = Tensor(rng.normal(size=(2, 5, 4)))
-    att_v = Tensor(rng.normal(size=(2, 5, 4)))
+    att_kv = Tensor(rng.normal(size=(2, 5, 4)))
+    att_x = Tensor(rng.normal(size=(2, 5, 4)))
     key_mask = np.array([[True, False, True, True, False], [False] * 5])  # member 1: no valid key
-    att_w = rng.normal(size=(2, 3, 4))
+    # b_k's gradient is exactly 0 (it shifts every score of a query alike);
+    # small weights keep the central differences' rounding there under
+    # relative_error's 1e-6 floor
+    att_w = rng.normal(size=(2, 3, 4)) * 0.1
+    # the projections from a generator of their own: later inputs stay as they were
+    proj_rng = np.random.default_rng(2025)
+    proj = {
+        name: Tensor(proj_rng.normal(size=(4, 4)) * 0.5 if name.startswith("w") else proj_rng.normal(size=4))
+        for name in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o")
+    }
     check(
-        {"att_q": att_q, "att_k": att_k, "att_v": att_v},
-        lambda: reduce_sum(sin(attention(att_q, att_k, att_v, 2, key_mask)) * att_w),
+        {"att_q": att_q, "att_kv": att_kv, **proj},
+        lambda: reduce_sum(sin(attention(att_q, att_kv, *proj.values(), 2, key_mask)) * att_w),
+    )
+    self_w = proj_rng.normal(size=(2, 5, 4)) * 0.1
+    check(  # self-attention: one input read as queries and as keys and values
+        {"att_x": att_x, **proj},
+        lambda: reduce_sum(sin(attention(att_x, att_x, *proj.values(), 2, key_mask)) * self_w),
     )
     logits = Tensor(rng.normal(size=(4,)))
     targets = np.array([1.0, 0.0, 1.0, 0.0])

@@ -138,6 +138,29 @@ def test_initialization_best_after_a_step_is_redrawn_from_the_seed(fused_splits)
     np.testing.assert_array_equal(ckpt.buffer, init_model(config).buffer)
 
 
+def test_redraw_of_the_initialization_runs_without_the_optimizer_state(fused_splits, monkeypatch):
+    """When epoch 0 scores best, the parameters are redrawn from the seed
+    once training ends, after the gradient buffer and both Adam moments are
+    freed: under 2.5 parameter buffers are live when the redraw starts (the
+    parameters, the data; 4 and more when the optimizer state was still
+    held)."""
+    config = fused_config(seed=0, epochs=1)
+    live = []
+
+    def init_model_reading_tracemalloc(c):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return init_model(c)
+
+    monkeypatch.setattr(harness, "init_model", init_model_reading_tracemalloc)
+    tracemalloc.start()
+    try:
+        ckpt = train(config, *fused_splits)
+    finally:
+        tracemalloc.stop()
+    assert ckpt.epoch == 0 and len(live) == 2  # the initialization, then its redraw
+    assert live[1] < 2.5 * ckpt.buffer.nbytes, live[1] / ckpt.buffer.nbytes
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_fused_training_peak_stays_within_a_parameter_multiple(fused_splits, seed):
     """Parameters, gradient, two Adam moments and one group's tape, with no

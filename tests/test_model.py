@@ -532,24 +532,42 @@ class TestRowPruning:
 
 class TestTapeStructure:
     @staticmethod
-    def record_group(modality: str) -> tuple[Tape, ModelParams]:
-        """The forward and the loss of a default-config group of 8, on one tape."""
+    def record_group(modality: str, traced: list | None = None) -> tuple[Tape, ModelParams]:
+        """The forward and the loss of a default-config group of 8, on one
+        tape; ``traced`` gets the bytes tracemalloc sees allocated, and still
+        held, between the tape's start and the loss."""
         config = RunConfig(seed=0, modality=modality)
         episodes = generate_synthetic(GenConfig(n_episodes=8, task="xor_fusion", seed=5))
         normed, stats = normalize(episodes, alpha_hours=config.alpha_hours, n_features=config.n_features)
         group = collate([prepare_episode(ep, config, stats) for ep in normed])
         params = init_model(config)
+        before = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
             bce_with_logits(forward(group, params, config), group.labels, config.pos_weight)
+            if traced is not None:
+                traced.append(tracemalloc.get_traced_memory()[0] - before)
         return tape, params
 
-    @pytest.mark.parametrize("modality, ops", [("fused", 145), ("ts", 57), ("txt", 46)])
+    @pytest.mark.parametrize("modality, ops", [("fused", 97), ("ts", 45), ("txt", 34)])
     def test_group_records_only_its_ops(self, modality, ops):
         """Only ops are nodes: the ~180 parameters a group reads are referred
         to by the nodes that read them, not recorded as nodes of their own."""
         tape, _ = self.record_group(modality)
         assert len(tape.nodes) == ops
         assert all(node.backward is not None for node in tape.nodes)
+
+    def test_fused_group_tape_holds_under_2_4_parameter_buffers(self):
+        """What a default fused group of 8 keeps for backward: each attention
+        sublayer keeps its two inputs and its softmax weights, not q, k, v or
+        the merged head outputs, so the live tape stays under 2.4 parameter
+        buffers (3.2 when the sublayer kept them)."""
+        traced: list[int] = []
+        tracemalloc.start()
+        try:
+            _, params = self.record_group("fused", traced)
+        finally:
+            tracemalloc.stop()
+        assert traced[0] < 2.4 * params.buffer.nbytes, traced[0] / params.buffer.nbytes
 
     @pytest.mark.parametrize("modality, kernels", [("fused", 2), ("ts", 1), ("txt", 1)])
     def test_each_mtand_stream_is_one_node_and_only_it_reads_the_bank(self, modality, kernels):

@@ -193,22 +193,50 @@ class TestBackward:
 
     def test_attention_grads_with_mask_and_keyless_member(self):
         rng = np.random.default_rng(23)
-        q = Tensor(rng.normal(size=(2, 3, 4)))
-        k = Tensor(rng.normal(size=(2, 5, 4)))
-        v = Tensor(rng.normal(size=(2, 5, 4)))
+        q_in = Tensor(rng.normal(size=(2, 3, 4)))
+        kv_in = Tensor(rng.normal(size=(2, 5, 4)))
+        proj = attention_projections(rng, 4)
         mask = np.array([[True, False, True, True, False], [False] * 5])
         w = rng.normal(size=(2, 3, 4))
-        check_grads(lambda: reduce_sum(sin(attention(q, k, v, 2, mask)) * w), {"q": q, "k": k, "v": v})
-        out = attention(q, k, v, 2, mask).data
-        assert_allclose(out[1], 0.0)  # a member with no valid key gets zero rows
-        check_grads(lambda: reduce_sum(sin(attention(q, k, v, 4)) * w), {"q": q, "k": k, "v": v})
+        wrt = {"q_in": q_in, "kv_in": kv_in, **proj}
+        check_grads(lambda: reduce_sum(sin(attention(q_in, kv_in, *proj.values(), 2, mask)) * w), wrt)
+        out = attention(q_in, kv_in, *proj.values(), 2, mask).data
+        # a member with no valid key gets zero merged outputs: the output bias
+        assert_allclose(out[1], np.broadcast_to(proj["b_o"].data, (3, 4)))
+        check_grads(lambda: reduce_sum(sin(attention(q_in, kv_in, *proj.values(), 4)) * w), wrt)
+
+    def test_self_attention_input_gets_the_queries_and_the_keys_share(self):
+        """With q_in and kv_in the same tensor, the tape adds the queries'
+        share of its gradient to the keys' and values'."""
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.normal(size=(2, 5, 4)))
+        proj = attention_projections(rng, 4)
+        mask = np.array([[True, False, True, True, False], [True] * 5])
+        w = rng.normal(size=(2, 5, 4))
+        check_grads(lambda: reduce_sum(sin(attention(x, x, *proj.values(), 2, mask)) * w), {"x": x, **proj})
+        with Tape() as tape:
+            out = attention(x, x, *proj.values(), 2, mask)
+        assert len(tape.nodes) == 1 and tape.nodes[0].inputs == (x, x, *proj.values())
+        assert out.shape == (2, 5, 4)
 
     def test_attention_shape_errors(self):
+        rng = np.random.default_rng(31)
+        proj = attention_projections(rng, 4)
+        # input widths of their own, and an output width of its own
+        wide = {**proj, "w_q": Tensor(rng.normal(size=(3, 4))), "w_k": Tensor(rng.normal(size=(6, 4))),
+                "w_v": Tensor(rng.normal(size=(6, 4))), "w_o": Tensor(rng.normal(size=(4, 2))),
+                "b_o": Tensor(rng.normal(size=2))}
+        q_in, kv_in = Tensor(rng.normal(size=(2, 3, 3))), Tensor(rng.normal(size=(2, 5, 6)))
+        assert attention(q_in, kv_in, *wide.values(), 2).shape == (2, 3, 2)
         x = Tensor(np.ones((3, 4)))
         with pytest.raises(ShapeError):
-            attention(x, x, x, 3)
+            attention(x, x, *proj.values(), 3)  # 3 heads do not divide 4 columns
         with pytest.raises(ShapeError):
-            attention(x, Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), 2)
+            attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 5, 4))), *proj.values(), 2)
+        with pytest.raises(ShapeError):
+            attention(x, Tensor(np.ones((3, 5))), *proj.values(), 2)
+        with pytest.raises(ShapeError):
+            attention(x, x, *{**proj, "b_v": Tensor(np.ones(3))}.values(), 2)
 
     def test_time2vec_matches_per_head_loop(self):
         rng = np.random.default_rng(24)
@@ -287,9 +315,11 @@ class TestBackward:
         x = rng.normal(size=(2, 5, 7)) * 3.0 + 1.0
         gain, bias = rng.normal(size=7), rng.normal(size=7)
         got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
-        # the straightforward evaluation, bit for bit
-        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
-        np.testing.assert_array_equal(got, (x - x.mean(axis=-1, keepdims=True)) * inv * gain + bias)
+        # mean and variance as row sums by a product with ones, bit for bit
+        ones = np.ones(7)
+        centred = x - (x.reshape(-1, 7) @ ones).reshape(2, 5, 1) / 7
+        var = (np.square(centred).reshape(-1, 7) @ ones).reshape(2, 5, 1) / 7
+        np.testing.assert_array_equal(got, centred * (1.0 / np.sqrt(var + 1e-5)) * gain + bias)
         assert_allclose(got, layer_norm_oracle(x, gain, bias), rtol=1e-12, atol=1e-12)
 
     def test_layer_norm_grads(self):
@@ -534,20 +564,29 @@ class TestBackward:
     def test_composite_attention_like_block(self):
         rng = np.random.default_rng(20)
         q = Tensor(rng.normal(size=(4, 6)))
-        k = Tensor(rng.normal(size=(5, 6)))
-        v = Tensor(rng.normal(size=(5, 6)))
+        kv = Tensor(rng.normal(size=(5, 6)))
+        proj = attention_projections(rng, 6)
         w = Tensor(rng.normal(size=(6, 3)))
         b = Tensor(rng.normal(size=3))
         mask = np.array([True, True, False, True, True])
 
         def loss():
-            return reduce_mean(sin(linear(attention(q, k, v, 2, mask), w, b)))
+            return reduce_mean(sin(linear(attention(q, kv, *proj.values(), 2, mask), w, b)))
 
-        check_grads(loss, {"q": q, "k": k, "v": v, "w": w, "b": b})
+        check_grads(loss, {"q": q, "kv": kv, **proj, "w": w, "b": b})
 
 
 def mul_chain(a, b, c):
     return (a + b) * c + a * 0.5
+
+
+def attention_projections(rng, d: int) -> dict[str, Tensor]:
+    """Random non-identity projections [d x d] and biases [d] for
+    ``attention``, in its argument order."""
+    return {
+        name: Tensor(rng.normal(size=(d, d)) * d**-0.5 if name.startswith("w") else rng.normal(size=d))
+        for name in ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o")
+    }
 
 
 class TestFlatBuffer:
@@ -626,10 +665,11 @@ class TestAdam:
         assert_allclose(p["u"].data, 1.0)
 
     def test_flat_moments_match_eager_reference(self):
-        """Moments are flat buffers over every parameter, zero at the first
-        step; the parameters after N steps equal an update that holds zero
-        moments for every parameter, with the gradients written into the
-        state's gradient views. "big" spans more than one chunk."""
+        """Moments cover every parameter of the flat layout, in consecutive
+        chunks, zero at the first step; the parameters after N steps equal an
+        update that holds zero moments for every parameter, with the gradients
+        written into the state's gradient views. "big" spans more than one
+        chunk."""
         rng = np.random.default_rng(28)
         init = {
             "a": rng.normal(size=(3, 4)),
@@ -671,8 +711,10 @@ class TestAdam:
         for k in init:
             np.testing.assert_array_equal(params[k].data, ref[k])
         np.testing.assert_array_equal(params["never"].data, init["never"])
-        assert state.first_moment.shape == state.second_moment.shape == (size,)
-        assert not state.first_moment[-4:].any() and not state.second_moment[-4:].any()
+        chunks = [min(T._ADAM_CHUNK, size - a) for a in range(0, size, T._ADAM_CHUNK)]
+        assert len(chunks) > 1
+        assert [m.shape for m in state.first_moment] == [v.shape for v in state.second_moment] == [(n,) for n in chunks]
+        assert not state.first_moment[-1][-4:].any() and not state.second_moment[-1][-4:].any()
         assert all(p.data.base is state.param_buffer for p in params.values())
 
     def test_state_defaults(self):
